@@ -53,14 +53,18 @@ def _flag(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _positive_int(text: str) -> int:
+def _positive_int(text: str, minimum: int = 1) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
     return value
+
+
+def _non_negative_int(text: str) -> int:
+    return _positive_int(text, minimum=0)
 
 
 def _load_sequence(args: argparse.Namespace) -> BoundedSequence:
@@ -295,12 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
     caps_common = argparse.ArgumentParser(add_help=False)
     caps_common.add_argument("--max-nodes", type=_positive_int, default=None)
     caps_common.add_argument("--time-limit", type=float, default=None, help="seconds")
-    caps_common.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help="search worker cap (results are identical for any value)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="zsseq",
@@ -315,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("check", _cmd_check, "test a sequence for zero-sum subsequences of one length", [seq_common])
-    p.add_argument("--t", type=int, required=True, help="target subsequence length")
+    p.add_argument("--t", type=_non_negative_int, required=True, help="target subsequence length")
 
     add("spectrum", _cmd_spectrum, "all zero-sum subsequence lengths of a sequence", [seq_common])
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .detect import iter_zero_sum_sequences, spectrum
-from .errors import PreconditionError
+from .errors import CrossCheckError, PreconditionError
 
 #: Feasibility cap for the exhaustive minimal-sequence search.
 MINIMAL_SEARCH_MAX_K = 4
@@ -144,7 +144,7 @@ def davenport_subset(values: list[int], modulus: int) -> list[int]:
         if prefix in seen:
             return list(values[seen[prefix]:idx])
         seen[prefix] = idx
-    raise AssertionError("pigeonhole violated")  # pragma: no cover
+    raise CrossCheckError("pigeonhole violated")  # pragma: no cover
 
 
 def frobenius_number(a: int, b: int) -> int:

@@ -27,10 +27,15 @@ bits); if it would exceed the configured cap the build is refused with
 For cross-checking, :func:`brute_force_pairs` / :func:`brute_force_spectrum`
 enumerate every subsequence explicitly and never touch the bitset code
 path; tests and ``selftest`` compare the two routes.
+
+Every exhaustive walk over zero-sum multisets in [-k, k] (the enumeration
+here and the searches in :mod:`zsseq.search`) goes through one walker,
+:func:`_walk_zero_sum`, which can carry the kernel rows along a branch.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -135,7 +140,8 @@ class LengthSumTable:
                     break
             else:  # pragma: no cover - impossible if the table is consistent
                 raise CrossCheckError("witness backtracking lost a reachable state")
-        assert j == 0 and sigma == 0
+        if j or sigma:  # pragma: no cover - impossible if the table is consistent
+            raise CrossCheckError(f"witness backtracking ended at ({j}, {sigma}), not (0, 0)")
         return BoundedSequence.from_terms(counts, self.source.bound)
 
 
@@ -143,6 +149,26 @@ def _initial_rows(max_length: int, offset: int) -> tuple[int, ...]:
     rows = [0] * (max_length + 1)
     rows[0] = 1 << offset
     return tuple(rows)
+
+
+def _add_copies(rows: list[int], value: int, w: int, cap: int, mask: int) -> None:
+    """Add ``w`` copies of ``value`` as one take-or-leave item, in place.
+
+    ``rows[j]`` gains ``rows[j - w]`` shifted by ``w * value`` for every
+    j = cap .. w; descending j keeps each row's source from this same step.
+    """
+    shift = w * value
+    if shift >= 0:
+        for j in range(cap, w - 1, -1):
+            src = rows[j - w]
+            if src:
+                rows[j] = (rows[j] | (src << shift)) & mask
+    else:
+        shift = -shift
+        for j in range(cap, w - 1, -1):
+            src = rows[j - w]
+            if src:
+                rows[j] |= src >> shift
 
 
 def estimate_table_bytes(s: BoundedSequence, max_length: int) -> int:
@@ -181,17 +207,7 @@ def build_table(
             w = min(chunk, remaining)
             remaining -= w
             chunk <<= 1
-            shift = w * value
-            if shift >= 0:
-                for j in range(c, w - 1, -1):
-                    src = rows[j - w]
-                    if src:
-                        rows[j] = (rows[j] | (src << shift)) & mask
-            else:
-                for j in range(c, w - 1, -1):
-                    src = rows[j - w]
-                    if src:
-                        rows[j] |= src >> -shift
+            _add_copies(rows, value, w, c, mask)
         if keep_layers:
             layers.append(ValueLayer(value, mult, tuple(rows)))
     return LengthSumTable(s, c, offset, width, tuple(rows), tuple(layers))
@@ -212,7 +228,8 @@ def find_zero_sum_of_length(
     found = table.witness(t, 0)
     if found is None:
         return None
-    assert found.sigma == 0 and found.length == t
+    if found.sigma != 0 or found.length != t:
+        raise CrossCheckError(f"kernel witness {found} is not a zero-sum of length {t}")
     return Witness(found, t)
 
 
@@ -250,24 +267,6 @@ def check_complement_duality(
 # -- independent oracle (no bitsets, plain enumeration) -----------------
 
 
-def enumerate_subsequences(s: BoundedSequence) -> Iterator[BoundedSequence]:
-    """Every subsequence of s as a BoundedSequence (product of multiplicities)."""
-    values = s.terms
-
-    def go(i: int, acc: dict[int, int]) -> Iterator[BoundedSequence]:
-        if i == len(values):
-            yield BoundedSequence.from_terms(dict(acc), s.bound)
-            return
-        value, mult = values[i]
-        for copies in range(mult + 1):
-            if copies:
-                acc[value] = copies
-            yield from go(i + 1, acc)
-        acc.pop(value, None)
-
-    return go(0, {})
-
-
 def brute_force_pairs(s: BoundedSequence) -> frozenset[tuple[int, int]]:
     """All (length, sum) pairs over subsequences of s, by explicit enumeration."""
     values = s.terms
@@ -298,44 +297,127 @@ def iter_zero_sum_sequences(
 
     Deterministic order: multiplicities are fixed value by value with |value|
     descending (positive before negative); when ``include_zero`` is set the
-    value 0 absorbs whatever length remains.  Branches whose partial sum can
-    no longer be cancelled by the remaining values are cut.
+    value 0 absorbs whatever length remains.
     """
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
     if length < 0:
         raise PreconditionError(f"length must be >= 0, got {length}")
+    found: list[BoundedSequence] = []
+    _walk_zero_sum(
+        k,
+        length,
+        lambda counts, _: found.append(BoundedSequence.from_terms(counts, k)),
+        exact=True,
+        zero=include_zero,
+    )
+    return iter(found)
+
+
+class _WalkCapped(Exception):
+    """A node or time cap stopped :func:`_walk_zero_sum` after ``nodes`` nodes."""
+
+    def __init__(self, reason: str, nodes: int):
+        super().__init__(reason)
+        self.reason = reason
+        self.nodes = nodes
+
+
+def _walk_zero_sum(
+    k: int,
+    max_length: int,
+    on_leaf,
+    t: int | None = None,
+    exact: bool = False,
+    zero: bool = True,
+    max_nodes: int | None = None,
+    time_limit: float | None = None,
+    progress=None,
+) -> int:
+    """Depth-first walk over the zero-sum multisets over [-k, k] of length <= max_length.
+
+    Multiplicities are fixed value by value: |value| descending, positive
+    before negative, 0 last (left out unless ``zero``), each from 0 upward.
+    ``on_leaf(counts, length)`` is called for every zero-sum multiset in
+    that order (with ``exact``, only those of length exactly max_length).
+
+    Two cuts hold for every zero-sum multiset, so they always apply: the
+    partial sum must stay cancellable by the values still to come, and
+    each sign class has at most k*max_length/(k+1) elements.  With ``t``
+    given, the kernel rows for lengths <= t are extended one copy at a
+    time along the branch, which is cut the moment it contains a zero-sum
+    of length t; every leaf then avoids t.
+
+    Returns the node count.  Raises :class:`_WalkCapped`, carrying the
+    nodes explored so far, when ``max_nodes`` or ``time_limit`` stops it.
+    """
     order: list[int] = []
     for v in range(k, 0, -1):
         order.append(v)
         order.append(-v)
-    # Bounds on the sum the suffix order[i:] can still contribute, per element.
-    suffix_min = [0] * (len(order) + 1)
-    suffix_max = [0] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        suffix_min[i] = min(order[i], suffix_min[i + 1])
-        suffix_max[i] = max(order[i], suffix_max[i + 1])
+    if zero:
+        order.append(0)
+    nvals = len(order)
+    suffix_lo = [0] * (nvals + 1)
+    suffix_hi = [0] * (nvals + 1)
+    for i in range(nvals - 1, -1, -1):
+        suffix_lo[i] = min(order[i], suffix_lo[i + 1])
+        suffix_hi[i] = max(order[i], suffix_hi[i + 1])
+
+    if t is not None:
+        offset = k * t
+        mask = (1 << (2 * offset + 1)) - 1
+        root_rows = _initial_rows(t, offset)
+    else:
+        root_rows = ()
+    sign_cap = k * max_length // (k + 1)
 
     counts: dict[int, int] = {}
+    nodes = 0
+    start = time.monotonic()
 
-    def go(i: int, remaining: int, total: int) -> Iterator[BoundedSequence]:
-        if i == len(order):
-            if total == 0 and (include_zero or remaining == 0):
-                if remaining:
-                    counts[0] = remaining
-                yield BoundedSequence.from_terms(dict(counts), k)
-                counts.pop(0, None)
+    def descend(i: int, length: int, total: int, pos: int, neg: int, rows) -> None:
+        nonlocal nodes
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise _WalkCapped("node-limit", nodes - 1)
+        if nodes % 1024 == 0 and time_limit is not None:
+            if time.monotonic() - start > time_limit:
+                raise _WalkCapped("time-limit", nodes - 1)
+        if progress is not None and nodes % 65536 == 0:
+            progress(nodes)
+        if i == nvals:
+            if total == 0 and (not exact or length == max_length):
+                on_leaf(dict(counts), length)
             return
-        lo = suffix_min[i] if not include_zero else min(suffix_min[i], 0)
-        hi = suffix_max[i] if not include_zero else max(suffix_max[i], 0)
         value = order[i]
-        for copies in range(remaining + 1):
-            nt = total + copies * value
-            nr = remaining - copies
-            if nt + nr * lo <= 0 <= nt + nr * hi:
-                if copies:
-                    counts[value] = copies
-                yield from go(i + 1, nr, nt)
+        most = max_length - length
+        if value > 0:
+            most = min(most, sign_cap - pos)
+        elif value < 0:
+            most = min(most, sign_cap - neg)
+        lo = suffix_lo[i + 1]
+        hi = suffix_hi[i + 1]
+        rows = list(rows)
+        for copies in range(most + 1):
+            if copies:
+                if t is not None:
+                    _add_copies(rows, value, 1, t, mask)
+                    if rows[t] >> offset & 1:
+                        break  # now t-containing; more copies stay containing
+                counts[value] = copies
+            new_total = total + copies * value
+            rest = max_length - length - copies
+            if new_total + rest * lo <= 0 <= new_total + rest * hi:
+                descend(
+                    i + 1,
+                    length + copies,
+                    new_total,
+                    pos + copies if value > 0 else pos,
+                    neg + copies if value < 0 else neg,
+                    rows,
+                )
         counts.pop(value, None)
 
-    return go(0, length, 0)
+    descend(0, 0, 0, 0, 0, root_rows)
+    return nodes

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .detect import DEFAULT_MEMORY_LIMIT, build_table
-from .errors import PreconditionError
+from .errors import CrossCheckError, PreconditionError
 from .sequences import BoundedSequence, concat, remove, repeat
 
 
@@ -63,17 +63,11 @@ class ReduceStep:
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    removed: BoundedSequence
-    inserted_copies: int
-
-
-@dataclass(frozen=True)
 class ReductionTrace:
     """Full audit of a fixpoint run followed by block stripping."""
 
     initial: BoundedSequence
-    steps: tuple[TraceStep, ...]
+    steps: tuple[ReduceStep, ...]
     fixpoint: BoundedSequence
     stripped: BoundedSequence
     strip_count: int
@@ -168,7 +162,8 @@ def reduce_step(
             table = tables[f]
             if table.reachable(t_len, -f):
                 rest = table.witness(t_len, -f)
-                assert rest is not None
+                if rest is None:  # pragma: no cover - reachable states have witnesses
+                    raise CrossCheckError(f"no witness for reachable ({t_len}, {-f})")
                 removed = concat(rest, BoundedSequence.from_terms({f: 1}, s.bound))
                 result = concat(remove(s, removed), repeat(x.block, j))
                 return ReduceStep(result, removed, j)
@@ -185,17 +180,17 @@ def reduce_fixpoint(
     Each step removes at least one foreign element and inserts none, so the
     loop terminates after at most foreign_count(s, x) rewrites.
     """
-    steps: list[TraceStep] = []
+    steps: list[ReduceStep] = []
     current = s
     limit = foreign_count(s, x)
     while True:
         step = reduce_step(current, x, memory_limit=memory_limit)
         if step is None:
             break
-        steps.append(TraceStep(step.removed, step.inserted_copies))
+        steps.append(step)
         current = step.result
         if len(steps) > limit:  # pragma: no cover - progress measure violated
-            raise AssertionError("rewrite loop exceeded its termination bound")
+            raise CrossCheckError("rewrite loop exceeded its termination bound")
     stripped, count = strip_blocks(current, x)
     return ReductionTrace(s, tuple(steps), current, stripped, count)
 

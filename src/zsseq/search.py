@@ -1,12 +1,9 @@
 """Searches over zero-sum avoiding sequences: maxima, extremal sets, families.
 
-The exhaustive searches walk multiplicity vectors value by value (absolute
-value descending, 0 last).  Along each branch the detection kernel's row
-block for lengths <= t is extended one copy at a time, so t-containment
-prunes a subtree the moment it appears and every surviving leaf is already
-verified avoiding.  Additional cuts: a partial sum the remaining values
-cannot cancel, and the sign-count bounds (k+1)*|positives| <= k*length
-that every zero-sum sequence obeys.
+The exhaustive searches use the zero-sum walker of :mod:`zsseq.detect`
+with the kernel rows for lengths <= t carried along each branch, so
+t-containment prunes a subtree the moment it appears and every surviving
+leaf is already verified avoiding.
 
 Exhaustiveness is only claimed when the whole tree within the length
 ceiling was covered and the best length found lies strictly below the
@@ -16,12 +13,11 @@ itself, reports ``exhaustive=False``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from math import gcd
 
 from .constants import divisibility_condition
-from .detect import is_t_avoiding
+from .detect import _walk_zero_sum, _WalkCapped, is_t_avoiding
 from .errors import CrossCheckError, PreconditionError
 from .reduction import BlockX, append_blocks, build_block
 from .sequences import BoundedSequence
@@ -98,110 +94,6 @@ class FamilySpec:
         }
 
 
-class _CapHit(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
-
-
-def _extend_one(rows: list[int], value: int, cap: int, mask: int) -> list[int]:
-    """Row block after adding one more copy of ``value`` (input left intact)."""
-    out = list(rows)
-    if value >= 0:
-        for j in range(cap, 0, -1):
-            src = out[j - 1]
-            if src:
-                out[j] = (out[j] | (src << value)) & mask
-    else:
-        shift = -value
-        for j in range(cap, 0, -1):
-            src = out[j - 1]
-            if src:
-                out[j] |= src >> shift
-    return out
-
-
-def _explore(
-    k: int,
-    t: int,
-    max_total: int,
-    exact: bool,
-    on_leaf,
-    max_nodes: int | None,
-    time_limit: float | None,
-    progress,
-) -> int:
-    """DFS over zero-sum t-avoiding multisets with length <= max_total.
-
-    Calls ``on_leaf(counts, length)`` for every avoiding zero-sum leaf (in
-    exact mode, only leaves of length exactly max_total).  Returns the node
-    count; raises _CapHit when a resource cap interrupts the walk.
-    """
-    order: list[int] = []
-    for v in range(k, 0, -1):
-        order.append(v)
-        order.append(-v)
-    order.append(0)
-    nvals = len(order)
-    suffix_lo = [0] * (nvals + 1)
-    suffix_hi = [0] * (nvals + 1)
-    for i in range(nvals - 1, -1, -1):
-        suffix_lo[i] = min(order[i], suffix_lo[i + 1])
-        suffix_hi[i] = max(order[i], suffix_hi[i + 1])
-
-    offset = k * t
-    mask = (1 << (2 * offset + 1)) - 1
-    root_rows = [0] * (t + 1)
-    root_rows[0] = 1 << offset
-
-    counts: dict[int, int] = {}
-    nodes = 0
-    pos_cap = k * max_total  # compare (k+1)*pos against this
-    start = time.monotonic()
-
-    def descend(i: int, length: int, total: int, pos: int, neg: int, rows: list[int]) -> None:
-        nonlocal nodes
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise _CapHit("node-limit")
-        if nodes % 1024 == 0 and time_limit is not None:
-            if time.monotonic() - start > time_limit:
-                raise _CapHit("time-limit")
-        if progress is not None and nodes % 65536 == 0:
-            progress(nodes)
-        if i == nvals:
-            if total == 0 and (not exact or length == max_total):
-                on_leaf(dict(counts), length)
-            return
-        value = order[i]
-        cur_rows = rows
-        for copies in range(max_total - length + 1):
-            if copies:
-                cur_rows = _extend_one(cur_rows, value, t, mask)
-                if cur_rows[t] >> offset & 1:
-                    break  # now t-containing; more copies stay containing
-                counts[value] = copies
-            if value > 0 and (k + 1) * (pos + copies) > pos_cap:
-                break
-            if value < 0 and (k + 1) * (neg + copies) > pos_cap:
-                break
-            new_total = total + copies * value
-            rest = max_total - length - copies
-            if not (new_total + rest * suffix_lo[i + 1] <= 0 <= new_total + rest * suffix_hi[i + 1]):
-                continue
-            descend(
-                i + 1,
-                length + copies,
-                new_total,
-                pos + (copies if value > 0 else 0),
-                neg + (copies if value < 0 else 0),
-                cur_rows,
-            )
-        counts.pop(value, None)
-
-    descend(0, 0, 0, 0, 0, root_rows)
-    return nodes
-
-
 def longest_avoiding(
     k: int,
     t: int,
@@ -241,12 +133,13 @@ def longest_avoiding(
         wrapped = lambda nodes: progress(nodes, best)  # noqa: E731
 
     stop_reason = None
-    nodes = 0
     try:
-        nodes = _explore(k, t, ceiling, False, on_leaf, max_nodes, time_limit, wrapped)
-    except _CapHit as cap:
+        nodes = _walk_zero_sum(
+            k, ceiling, on_leaf, t=t, max_nodes=max_nodes, time_limit=time_limit, progress=wrapped
+        )
+    except _WalkCapped as cap:
         stop_reason = cap.reason
-        nodes = max_nodes if cap.reason == "node-limit" and max_nodes is not None else nodes
+        nodes = cap.nodes
 
     for w in witnesses:
         if w.sigma != 0 or not is_t_avoiding(w, t):
@@ -297,8 +190,10 @@ def enumerate_extremal(
 
     stop_reason = None
     try:
-        _explore(k, t, target, True, on_leaf, max_nodes, time_limit, None)
-    except _CapHit as cap:
+        _walk_zero_sum(
+            k, target, on_leaf, t=t, exact=True, max_nodes=max_nodes, time_limit=time_limit
+        )
+    except _WalkCapped as cap:
         stop_reason = cap.reason
 
     upper = {-1, k - 1, k}
@@ -375,14 +270,16 @@ def family_generator(
             f"k={k}, t={t} admits a finite constant; no unbounded avoiding family exists"
         )
     q = report.failing_prime_power
-    assert q is not None
+    if q is None:  # pragma: no cover - divisibility_condition names one when it fails
+        raise CrossCheckError(f"k={k}, t={t} fails the divisibility test with no prime power")
     if q == 2:
         a, b = 1, 1
     elif q % 2:
         a, b = (q + 1) // 2, (q - 1) // 2
     else:
         a, b = q // 2 + 1, q // 2 - 1
-    assert a + b == q and 1 <= b <= a <= k and gcd(a, b) == 1
+    if not (a + b == q and 1 <= b <= a <= k and gcd(a, b) == 1):  # pragma: no cover
+        raise CrossCheckError(f"split {a} + {b} of q={q} is not a coprime pair within [1, {k}]")
     x = build_block(a, b)
     copies = -(-min_length // x.length)
     seq = append_blocks(BoundedSequence.empty(k), x, copies)

@@ -29,9 +29,11 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from .constants import davenport_subset
 from .detect import brute_force_pairs, build_table, spectrum
+from .errors import CrossCheckError
 from .reduction import build_block, foreign_count, reduce_fixpoint, reduce_step, strip_blocks
 from .sequences import BoundedSequence, concat, remove, repeat, sign_partition
 
@@ -76,7 +78,8 @@ def random_zero_sum_of_length(rng: random.Random, k: int, n: int) -> BoundedSequ
         e = rng.randint(lo, hi)
         elements.append(e)
         total += e
-    assert total == 0
+    if total:  # pragma: no cover - the window forces the last element
+        raise CrossCheckError(f"random walk ended at sum {total}, not 0")
     return BoundedSequence.from_elements(elements, k)
 
 
@@ -136,36 +139,20 @@ def _spectrum_symmetry(seed: int, scale: float) -> SuiteResult:
 
 def _dp_vs_bruteforce(seed: int, scale: float) -> SuiteResult:
     size_cap = 12 if scale >= 1 else max(4, int(12 * scale))
-    values = list(range(-3, 4))
-    failures = 0
-    detail = None
-    trials = 0
-    started = time.perf_counter()
+    multisets = [
+        elements
+        for size in range(size_cap + 1)
+        for elements in combinations_with_replacement(range(-3, 4), size)
+    ]
 
-    counts: dict[int, int] = {}
+    def check(i: int) -> str | None:
+        s = BoundedSequence.from_elements(multisets[i], 3)
+        table = build_table(s, s.length, keep_layers=False)
+        if frozenset(table.achievable_pairs()) != brute_force_pairs(s):
+            return f"kernel and enumeration disagree on {s}"
+        return None
 
-    def visit(i: int, room: int) -> None:
-        nonlocal failures, detail, trials
-        if i == len(values):
-            trials += 1
-            s = BoundedSequence.from_terms(dict(counts), 3)
-            table = build_table(s, s.length, keep_layers=False)
-            if frozenset(table.achievable_pairs()) != brute_force_pairs(s):
-                failures += 1
-                if detail is None:
-                    detail = f"kernel and enumeration disagree on {s}"
-            return
-        value = values[i]
-        for copies in range(room + 1):
-            if copies:
-                counts[value] = copies
-            visit(i + 1, room - copies)
-        counts.pop(value, None)
-
-    visit(0, size_cap)
-    return SuiteResult(
-        "dp_vs_bruteforce", trials, failures, time.perf_counter() - started, detail
-    )
+    return _suite("dp_vs_bruteforce", len(multisets), check)
 
 
 def _davenport_blocks(seed: int, scale: float) -> SuiteResult:

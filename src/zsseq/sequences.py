@@ -184,10 +184,6 @@ def format_sequence(s: BoundedSequence) -> str:
     return ",".join(f"{v}^{m}" for v, m in s.terms)
 
 
-def sigma(s: BoundedSequence) -> int:
-    return s.sigma
-
-
 def concat(s: BoundedSequence, t: BoundedSequence) -> BoundedSequence:
     """Multiset union; the result carries the larger of the two bounds."""
     acc = dict(s.terms)
@@ -209,11 +205,6 @@ def remove(s: BoundedSequence, t: BoundedSequence) -> BoundedSequence:
     for value, mult in t.terms:
         acc[value] -= mult
     return BoundedSequence.from_terms(acc, s.bound)
-
-
-def complement(t: BoundedSequence, s: BoundedSequence) -> BoundedSequence:
-    """Alias of :func:`remove` with operand order (part, whole)."""
-    return remove(s, t)
 
 
 def sign_partition(s: BoundedSequence) -> SignPartition:

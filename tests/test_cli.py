@@ -1,5 +1,6 @@
 """Command-line behavior: payloads, human lines, exit codes, JSON envelope."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -101,10 +102,11 @@ def test_domain_error_exit_code_and_envelope(run):
     [
         ["check", "--t", "2"],  # no sequence given
         ["spectrum", "--seq", "1^1", "--seq-file", "x"],  # mutually exclusive
-        ["search-longest", "--k", "2", "--t", "6", "--ceiling", "12", "--threads", "0"],
+        ["search-longest", "--k", "2", "--t", "6", "--ceiling", "12", "--threads", "0"],  # no such flag
         ["constant", "--k", "0", "--t", "6"],
         ["frobenius", "--a", "3"],  # missing --b
         ["no-such-subcommand"],
+        ["check", "--seq", "1^3,-1^3", "--t", "-1"],  # negative length
     ],
 )
 def test_usage_errors_exit_2(run, argv):
@@ -249,6 +251,42 @@ def test_selftest_quick(run):
     assert payload["ok"] is True
     assert len(payload["suites"]) == 6
     assert err.count("[ok]") == 6
+
+
+# Exit code and sha256 of the --json stdout for a fixed set of inputs,
+# recorded before the search and enumeration code was merged; any change
+# to an answer, its field order or its exit code shows up here.
+GOLDEN_JSON = [
+    (["search-longest", "--k", "2", "--t", "6", "--ceiling", "12"], 0,
+     "fbfc9f248f9771d2993cc620a13885fd321c1a98c7303621fd28d95f5548c6d7"),
+    (["search-longest", "--k", "3", "--t", "8", "--ceiling", "16"], 0,
+     "4a684baf64fd521b9c9d971141330b786125e8eea6ad695e6f9b728e2b07eacc"),
+    (["search-longest", "--k", "2", "--t", "6", "--ceiling", "12", "--max-nodes", "5"], 3,
+     "2025383fe8f90a5bfa8479b873706eb3484d737cad8c87fd53e0bba531dd55bc"),
+    (["extremal", "--k", "2", "--t", "12"], 0,
+     "33f1695376acbc987e3c943fe598ad5d975aa4f74d732eb4cbe520057d067a90"),
+    (["extremal", "--k", "3", "--t", "60", "--allow-slow", "--max-nodes", "50000"], 3,
+     "0716ef1e7971d7ac82b81f76e3b366e1c1d83fcb951428bc2852235d265930a9"),
+    (["check", "--seq", "2^2,1^3,-1^5,-2^1", "--t", "4"], 0,
+     "7c2823b84732c37d582765fd65adce09179d87ff6eab89c89e203b2e2f065370"),
+    (["check", "--seq", "1^3,-1^3", "--t", "3"], 0,
+     "ea5188627c5b68c86fefbb710ad7768b17a9acacf525c6f63e7fc00cdcda6ce9"),
+    (["spectrum", "--seq", "3^2,2^1,-1^4,-2^2"], 0,
+     "c766098e151acc800d2ca5aea1946a1b2f193641c506f67345d13f8ccf344acb"),
+    (["reduce", "--seq", "3^2,2^3,1^1,-1^6,-2^4", "--alpha", "2", "--beta", "1"], 0,
+     "81e7939fff4886fd2bbfb4f4c2e8fd4dedb8ba0d2324155b96765bf4f178a467"),
+    (["family", "--k", "3", "--t", "10", "--min-length", "20"], 0,
+     "0c2e9704f3e1dc87418556f861eafb5bde8fdd314a82a61e4b477da1846c166d"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest", GOLDEN_JSON, ids=[f"{i}-{case[0][0]}" for i, case in enumerate(GOLDEN_JSON)]
+)
+def test_golden_json_output(run, argv, code, digest):
+    got_code, out, _ = run(*argv, "--json")
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_version_flag(capsys):

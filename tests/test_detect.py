@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zsseq import (
+    CrossCheckError,
+    LengthSumTable,
     PreconditionError,
     ResourceLimitError,
     brute_force_pairs,
     brute_force_spectrum,
     build_table,
     check_complement_duality,
-    enumerate_subsequences,
     estimate_table_bytes,
     find_zero_sum_of_length,
     is_subsequence,
@@ -145,6 +146,14 @@ def test_complement_duality_preconditions():
         check_complement_duality(parse_sequence("1^1,-1^1"), 3)
 
 
+def test_bad_kernel_witness_raises_cross_check_error(monkeypatch):
+    # A witness of the wrong length must be refused, also under ``python -O``.
+    bogus = parse_sequence("1^1,-1^1")
+    monkeypatch.setattr(LengthSumTable, "witness", lambda self, length, total=0: bogus)
+    with pytest.raises(CrossCheckError):
+        find_zero_sum_of_length(parse_sequence("1^3,-1^3"), 4)
+
+
 def test_memory_cap_refusal():
     s = parse_sequence("1^100000,-1^100000")
     with pytest.raises(ResourceLimitError):
@@ -155,13 +164,6 @@ def test_estimate_grows_with_length():
     small = estimate_table_bytes(parse_sequence("1^5,-1^5"), 10)
     big = estimate_table_bytes(parse_sequence("1^500,-1^500"), 1000)
     assert 0 < small < big
-
-
-def test_enumerate_subsequences_counts():
-    s = parse_sequence("2^2,-1^3")
-    subs = list(enumerate_subsequences(s))
-    assert len(subs) == (2 + 1) * (3 + 1)
-    assert len(set(subs)) == len(subs)
 
 
 def test_iter_zero_sum_sequences_matches_filtered_enumeration():

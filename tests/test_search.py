@@ -76,6 +76,7 @@ def test_longest_avoiding_time_cap():
     result = longest_avoiding(3, 60, 68, time_limit=0.0)
     assert result.stop_reason == "time-limit"
     assert not result.exhaustive
+    assert result.nodes_explored > 0
 
 
 def test_longest_avoiding_witness_cap():

@@ -9,7 +9,6 @@ from zsseq import (
     SequenceOverflowError,
     SequenceSyntaxError,
     SubsequenceError,
-    complement,
     concat,
     format_sequence,
     is_subsequence,
@@ -145,12 +144,6 @@ def test_remove_requires_subsequence():
         remove(parse_sequence("1^2"), parse_sequence("1^3"))
     with pytest.raises(SubsequenceError):
         remove(parse_sequence("1^2"), parse_sequence("2^1"))
-
-
-def test_complement_is_remove_with_swapped_operands():
-    s = parse_sequence("2^2,-1^4")
-    t = parse_sequence("2^1,-1^1")
-    assert complement(t, s) == remove(s, t)
 
 
 @given(term_dicts)
