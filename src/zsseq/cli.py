@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -65,6 +66,21 @@ def _positive_int(text: str, minimum: int = 1) -> int:
 
 def _non_negative_int(text: str) -> int:
     return _positive_int(text, minimum=0)
+
+
+def _finite_float(text: str, positive: bool = False) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        bound = "> 0" if positive else ">= 0"
+        raise argparse.ArgumentTypeError(f"expected a finite number {bound}, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    return _finite_float(text, positive=True)
 
 
 def _load_sequence(args: argparse.Namespace) -> BoundedSequence:
@@ -151,11 +167,7 @@ def _cmd_search_longest(args: argparse.Namespace) -> _Envelope:
 
 def _cmd_extremal(args: argparse.Namespace) -> _Envelope:
     report = enumerate_extremal(
-        args.k,
-        args.t,
-        allow_slow=args.allow_slow,
-        max_nodes=args.max_nodes,
-        time_limit=args.time_limit,
+        args.k, args.t, max_nodes=args.max_nodes, time_limit=args.time_limit
     )
     human = [
         f"count: {len(report.sequences)}",
@@ -298,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     caps_common = argparse.ArgumentParser(add_help=False)
     caps_common.add_argument("--max-nodes", type=_positive_int, default=None)
-    caps_common.add_argument("--time-limit", type=float, default=None, help="seconds")
+    caps_common.add_argument("--time-limit", type=_finite_float, default=None, help="seconds")
 
     parser = argparse.ArgumentParser(
         prog="zsseq",
@@ -339,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("extremal", _cmd_extremal, "all avoiding sequences of the critical length", [caps_common])
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--t", type=_positive_int, required=True)
-    p.add_argument("--allow-slow", action="store_true", help="permit the k=3 enumeration")
 
     p = add("family", _cmd_family, "arbitrarily long avoiding sequences (infinite case)", [])
     p.add_argument("--k", type=_positive_int, required=True)
@@ -372,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("selftest", _cmd_selftest, "run the randomized property suites", [])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", type=float, default=1.0, help="trial-count multiplier")
+    p.add_argument("--scale", type=_positive_float, default=1.0, help="trial-count multiplier")
     p.add_argument("--quick", action="store_true", help="shorthand for --scale 0.05")
 
     return parser

@@ -304,13 +304,7 @@ def iter_zero_sum_sequences(
     if length < 0:
         raise PreconditionError(f"length must be >= 0, got {length}")
     found: list[BoundedSequence] = []
-    _walk_zero_sum(
-        k,
-        length,
-        lambda counts, _: found.append(BoundedSequence.from_terms(counts, k)),
-        exact=True,
-        zero=include_zero,
-    )
+    _walk_zero_sum(k, length, found.append, zero=include_zero)
     return iter(found)
 
 
@@ -325,99 +319,92 @@ class _WalkCapped(Exception):
 
 def _walk_zero_sum(
     k: int,
-    max_length: int,
+    length: int,
     on_leaf,
     t: int | None = None,
-    exact: bool = False,
     zero: bool = True,
     max_nodes: int | None = None,
-    time_limit: float | None = None,
+    deadline: float | None = None,
     progress=None,
+    nodes: int = 0,
 ) -> int:
-    """Depth-first walk over the zero-sum multisets over [-k, k] of length <= max_length.
+    """Depth-first walk over the zero-sum multisets over [-k, k] of exactly ``length`` elements.
 
     Multiplicities are fixed value by value: |value| descending, positive
-    before negative, 0 last (left out unless ``zero``), each from 0 upward.
-    ``on_leaf(counts, length)`` is called for every zero-sum multiset in
-    that order (with ``exact``, only those of length exactly max_length).
+    before negative, 0 last (left out unless ``zero``), each from 0 upward;
+    the last value takes whatever length remains.  ``on_leaf(s)`` is
+    called with every such multiset, as a sequence, in that order.
 
-    Two cuts hold for every zero-sum multiset, so they always apply: the
-    partial sum must stay cancellable by the values still to come, and
-    each sign class has at most k*max_length/(k+1) elements.  With ``t``
-    given, the kernel rows for lengths <= t are extended one copy at a
-    time along the branch, which is cut the moment it contains a zero-sum
-    of length t; every leaf then avoids t.
+    A branch is cut once the values still to come cannot fill the
+    remaining length and cancel the partial sum.  With ``t`` given, only
+    multisets avoiding t are leaves.  The rest of a zero-sum multiset
+    after a zero-sum piece is zero-sum, so it avoids t exactly when it
+    avoids length - t: the kernel rows are carried only for lengths
+    <= min(t, length - t), extended one copy at a time along the branch,
+    which is cut the moment it contains a zero-sum of that length.  With
+    length < t no rows are needed.
 
-    Returns the node count.  Raises :class:`_WalkCapped`, carrying the
-    nodes explored so far, when ``max_nodes`` or ``time_limit`` stops it.
+    Nodes are counted on from ``nodes``, so a search made of several
+    walks keeps one count for ``max_nodes``, the ``time.monotonic()``
+    ``deadline`` (checked every 1024 nodes) and ``progress(nodes)`` (every
+    65536).  Returns the count.  Raises :class:`_WalkCapped`, carrying the
+    count so far, when ``max_nodes`` is exceeded or the deadline passed.
     """
-    order: list[int] = []
-    for v in range(k, 0, -1):
-        order.append(v)
-        order.append(-v)
-    if zero:
-        order.append(0)
-    nvals = len(order)
-    suffix_lo = [0] * (nvals + 1)
-    suffix_hi = [0] * (nvals + 1)
-    for i in range(nvals - 1, -1, -1):
-        suffix_lo[i] = min(order[i], suffix_lo[i + 1])
-        suffix_hi[i] = max(order[i], suffix_hi[i + 1])
+    order = [v for a in range(k, 0, -1) for v in (a, -a)] + [0] * zero
+    last = len(order) - 1
+    # Range of the values after index i; every remaining slot takes one.
+    later_lo = [min(order[i + 1 :]) for i in range(last)]
+    later_hi = [max(order[i + 1 :]) for i in range(last)]
 
-    if t is not None:
-        offset = k * t
+    carry = t is not None and length >= t
+    if carry:
+        cap = min(t, length - t)
+        offset = k * cap
         mask = (1 << (2 * offset + 1)) - 1
-        root_rows = _initial_rows(t, offset)
-    else:
-        root_rows = ()
-    sign_cap = k * max_length // (k + 1)
 
     counts: dict[int, int] = {}
-    nodes = 0
-    start = time.monotonic()
 
-    def descend(i: int, length: int, total: int, pos: int, neg: int, rows) -> None:
+    def descend(i: int, filled: int, total: int, rows) -> None:
         nonlocal nodes
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
             raise _WalkCapped("node-limit", nodes - 1)
-        if nodes % 1024 == 0 and time_limit is not None:
-            if time.monotonic() - start > time_limit:
+        if nodes % 1024 == 0 and deadline is not None:
+            if time.monotonic() > deadline:
                 raise _WalkCapped("time-limit", nodes - 1)
         if progress is not None and nodes % 65536 == 0:
             progress(nodes)
-        if i == nvals:
-            if total == 0 and (not exact or length == max_length):
-                on_leaf(dict(counts), length)
-            return
         value = order[i]
-        most = max_length - length
-        if value > 0:
-            most = min(most, sign_cap - pos)
-        elif value < 0:
-            most = min(most, sign_cap - neg)
-        lo = suffix_lo[i + 1]
-        hi = suffix_hi[i + 1]
-        rows = list(rows)
-        for copies in range(most + 1):
+        left = length - filled
+        if carry:
+            rows = list(rows)
+        if i == last:
+            # The window one level up leaves one way to finish: total + left * value == 0.
+            if carry:
+                for _ in range(min(left, cap)):
+                    _add_copies(rows, value, 1, cap, mask)
+                if rows[cap] >> offset & 1:
+                    return
+            on_leaf(BoundedSequence.from_terms({**counts, value: left}, k))
+            return
+        lo = later_lo[i]
+        hi = later_hi[i]
+        for copies in range(left + 1):
             if copies:
-                if t is not None:
-                    _add_copies(rows, value, 1, t, mask)
-                    if rows[t] >> offset & 1:
-                        break  # now t-containing; more copies stay containing
+                if carry:
+                    _add_copies(rows, value, 1, cap, mask)
+                    if rows[cap] >> offset & 1:
+                        break  # now containing; more copies stay containing
                 counts[value] = copies
             new_total = total + copies * value
-            rest = max_length - length - copies
+            rest = left - copies
+            # Later values are all smaller than a positive value and larger
+            # than a negative one, so both ends move the same way per copy.
+            if (new_total + rest * lo > 0) if value > 0 else (new_total + rest * hi < 0):
+                break  # past the window; more copies stay past it
             if new_total + rest * lo <= 0 <= new_total + rest * hi:
-                descend(
-                    i + 1,
-                    length + copies,
-                    new_total,
-                    pos + copies if value > 0 else pos,
-                    neg + copies if value < 0 else neg,
-                    rows,
-                )
+                descend(i + 1, filled + copies, new_total, rows)
         counts.pop(value, None)
 
-    descend(0, 0, 0, 0, 0, root_rows)
+    descend(0, 0, 0, _initial_rows(cap, offset) if carry else ())
     return nodes

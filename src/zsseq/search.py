@@ -1,18 +1,18 @@
 """Searches over zero-sum avoiding sequences: maxima, extremal sets, families.
 
-The exhaustive searches use the zero-sum walker of :mod:`zsseq.detect`
-with the kernel rows for lengths <= t carried along each branch, so
-t-containment prunes a subtree the moment it appears and every surviving
-leaf is already verified avoiding.
+The exhaustive searches are exact-length walks of the zero-sum walker of
+:mod:`zsseq.detect`, which carries the kernel rows along each branch, so
+containment prunes a subtree the moment it appears and every surviving
+leaf is already avoiding; each result is re-checked by the kernel.
 
-Exhaustiveness is only claimed when the whole tree within the length
-ceiling was covered and the best length found lies strictly below the
-ceiling; hitting a node or time cap, or finding sequences at the ceiling
-itself, reports ``exhaustive=False``.
+Exhaustiveness is only claimed when every walk was covered and the best
+length found lies strictly below the ceiling; hitting a node or time cap,
+or finding sequences at the ceiling itself, reports ``exhaustive=False``.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from math import gcd
 
@@ -21,10 +21,6 @@ from .detect import _walk_zero_sum, _WalkCapped, is_t_avoiding
 from .errors import CrossCheckError, PreconditionError
 from .reduction import BlockX, append_blocks, build_block
 from .sequences import BoundedSequence
-
-#: Exhaustive extremal enumeration is promised only up to this bound.
-EXTREMAL_MAX_K = 3
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -105,10 +101,11 @@ def longest_avoiding(
 ) -> SearchResult:
     """Longest zero-sum t-avoiding sequence over [-k, k] with length <= ceiling.
 
-    ``witnesses`` holds every sequence achieving the best length (up to
-    ``max_witnesses``), in canonical order.  ``exhaustive`` is True only if
-    the search covered everything up to the ceiling without hitting a cap
-    and the maximum is strictly below the ceiling.
+    Walks the lengths ceiling, ceiling - 1, ..., t + 1, then t - 1 (length t
+    contains itself) and stops at the first with an avoiding sequence;
+    ``witnesses`` holds those (up to ``max_witnesses``), in canonical order.
+    ``max_nodes`` and ``time_limit`` bound the whole search.  ``exhaustive``
+    is True only if no cap was hit and the maximum is below the ceiling.
     """
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
@@ -120,26 +117,31 @@ def longest_avoiding(
     best = -1
     witnesses: list[BoundedSequence] = []
 
-    def on_leaf(counts: dict[int, int], length: int) -> None:
+    def on_leaf(s: BoundedSequence) -> None:
         nonlocal best
-        if length > best:
-            best = length
-            witnesses.clear()
-        if length == best and (max_witnesses is None or len(witnesses) < max_witnesses):
-            witnesses.append(BoundedSequence.from_terms(counts, k))
+        best = s.length
+        if max_witnesses is None or len(witnesses) < max_witnesses:
+            witnesses.append(s)
 
     wrapped = None
     if progress is not None:
         wrapped = lambda nodes: progress(nodes, best)  # noqa: E731
 
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     stop_reason = None
-    try:
-        nodes = _walk_zero_sum(
-            k, ceiling, on_leaf, t=t, max_nodes=max_nodes, time_limit=time_limit, progress=wrapped
-        )
-    except _WalkCapped as cap:
-        stop_reason = cap.reason
-        nodes = cap.nodes
+    nodes = 0
+    for n in [*range(ceiling, t, -1), t - 1]:
+        try:
+            nodes = _walk_zero_sum(
+                k, n, on_leaf, t=t, max_nodes=max_nodes, deadline=deadline,
+                progress=wrapped, nodes=nodes,
+            )
+        except _WalkCapped as cap:
+            stop_reason = cap.reason
+            nodes = cap.nodes
+            break
+        if best >= 0:
+            break
 
     for w in witnesses:
         if w.sigma != 0 or not is_t_avoiding(w, t):
@@ -158,24 +160,20 @@ def longest_avoiding(
 def enumerate_extremal(
     k: int,
     t: int,
-    allow_slow: bool = False,
     max_nodes: int | None = None,
     time_limit: float | None = None,
 ) -> ExtremalReport:
     """Every t-avoiding zero-sum sequence of length t + k^2 - k - 1 over [-k, k].
 
-    Exhaustive for k <= 2; k = 3 must be opted into with ``allow_slow`` (and
-    may honestly report ``exhaustive=False`` when a cap interrupts it).
-    ``support_ok`` states whether every sequence found has support within
-    {-1, k-1, k} or within {1, -(k-1), -k}; k = 1 collapses those sets and
-    is flagged ``degenerate``.
+    One walk at that length, which by complement duality carries kernel
+    rows only up to k^2 - k - 1; a node or time cap interrupting it is
+    reported as ``exhaustive=False``.  Every sequence is re-checked
+    against t by the kernel.  ``support_ok`` states whether every sequence
+    found has support within {-1, k-1, k} or within {1, -(k-1), -k}; k = 1
+    collapses those sets and is flagged ``degenerate``.
     """
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
-    if k > EXTREMAL_MAX_K:
-        raise PreconditionError(f"extremal enumeration is capped at k <= {EXTREMAL_MAX_K}")
-    if k == EXTREMAL_MAX_K and not allow_slow:
-        raise PreconditionError("k = 3 enumeration is slow; pass allow_slow=True to run it")
     report = divisibility_condition(k, t)
     if not report.holds:
         raise PreconditionError(
@@ -184,18 +182,16 @@ def enumerate_extremal(
     target = t + k * k - k - 1
 
     found: list[BoundedSequence] = []
-
-    def on_leaf(counts: dict[int, int], length: int) -> None:
-        found.append(BoundedSequence.from_terms(counts, k))
-
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     stop_reason = None
     try:
-        _walk_zero_sum(
-            k, target, on_leaf, t=t, exact=True, max_nodes=max_nodes, time_limit=time_limit
-        )
+        _walk_zero_sum(k, target, found.append, t=t, max_nodes=max_nodes, deadline=deadline)
     except _WalkCapped as cap:
         stop_reason = cap.reason
 
+    for s in found:
+        if not is_t_avoiding(s, t):
+            raise CrossCheckError(f"extremal enumeration produced a t-containing sequence: {s}")
     upper = {-1, k - 1, k}
     lower = {1, -(k - 1), -k}
     support_ok = all(

@@ -107,6 +107,11 @@ def test_domain_error_exit_code_and_envelope(run):
         ["frobenius", "--a", "3"],  # missing --b
         ["no-such-subcommand"],
         ["check", "--seq", "1^3,-1^3", "--t", "-1"],  # negative length
+        ["extremal", "--k", "3", "--t", "60", "--allow-slow"],  # no such flag
+        ["search-longest", "--k", "2", "--t", "6", "--ceiling", "12", "--time-limit", "-5"],
+        ["search-longest", "--k", "2", "--t", "6", "--ceiling", "12", "--time-limit", "nan"],
+        ["selftest", "--scale", "nan"],
+        ["selftest", "--scale", "inf"],
     ],
 )
 def test_usage_errors_exit_2(run, argv):
@@ -158,7 +163,7 @@ def test_extremal_json(run):
 
 def test_extremal_cap_exit_3(run):
     code, doc, _ = run_json(
-        run, "extremal", "--k", "3", "--t", "60", "--allow-slow", "--max-nodes", "100"
+        run, "extremal", "--k", "3", "--t", "60", "--max-nodes", "100"
     )
     assert code == 3
     assert doc["status"] == "incomplete"
@@ -253,20 +258,22 @@ def test_selftest_quick(run):
     assert err.count("[ok]") == 6
 
 
-# Exit code and sha256 of the --json stdout for a fixed set of inputs,
-# recorded before the search and enumeration code was merged; any change
-# to an answer, its field order or its exit code shows up here.
+# Exit code and sha256 of the --json stdout for a fixed set of inputs;
+# any change to an answer, its field order or its exit code shows up here,
+# and so does a change to ``nodes_explored`` in cases 0-2.  Case 4's cap
+# lies below the 41,222 nodes of the complete k=3, t=60 walk, so it pins
+# an incomplete payload.
 GOLDEN_JSON = [
     (["search-longest", "--k", "2", "--t", "6", "--ceiling", "12"], 0,
-     "fbfc9f248f9771d2993cc620a13885fd321c1a98c7303621fd28d95f5548c6d7"),
+     "be6736dbd48fa039de29b4d9240e23aca1f370d288e78aa83e0817940581f197"),
     (["search-longest", "--k", "3", "--t", "8", "--ceiling", "16"], 0,
-     "4a684baf64fd521b9c9d971141330b786125e8eea6ad695e6f9b728e2b07eacc"),
+     "5ae5d80a8b9d51886ba069850b899c23a6f31e50b9fe130c2428f77dfa056ab4"),
     (["search-longest", "--k", "2", "--t", "6", "--ceiling", "12", "--max-nodes", "5"], 3,
      "2025383fe8f90a5bfa8479b873706eb3484d737cad8c87fd53e0bba531dd55bc"),
     (["extremal", "--k", "2", "--t", "12"], 0,
      "33f1695376acbc987e3c943fe598ad5d975aa4f74d732eb4cbe520057d067a90"),
-    (["extremal", "--k", "3", "--t", "60", "--allow-slow", "--max-nodes", "50000"], 3,
-     "0716ef1e7971d7ac82b81f76e3b366e1c1d83fcb951428bc2852235d265930a9"),
+    (["extremal", "--k", "3", "--t", "60", "--max-nodes", "20000"], 3,
+     "c44d50bb6cd4adc9372bc50748474f68cceda3f4d9699e7888afda30f9c6de0e"),
     (["check", "--seq", "2^2,1^3,-1^5,-2^1", "--t", "4"], 0,
      "7c2823b84732c37d582765fd65adce09179d87ff6eab89c89e203b2e2f065370"),
     (["check", "--seq", "1^3,-1^3", "--t", "3"], 0,

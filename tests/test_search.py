@@ -1,5 +1,7 @@
 """Search layer: longest-avoiding, extremal enumeration, families, audits."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,15 +9,17 @@ from zsseq import (
     CrossCheckError,
     PreconditionError,
     BoundedSequence,
+    brute_force_spectrum,
     enumerate_extremal,
     family_generator,
     is_t_avoiding,
     lemma42_search,
     longest_avoiding,
+    negate,
     parse_sequence,
     verify_frobenius_avoidance,
 )
-from zsseq.search import EXTREMAL_MAX_K, _lemma42_margin
+from zsseq.search import _lemma42_margin
 
 # The six longest 6-avoiding zero-sum sequences over [-2, 2], all of
 # length 7 (one below the constant 8), as multiplicity dicts.
@@ -31,6 +35,17 @@ CRITICAL_2_6 = [
 
 def critical_set():
     return {BoundedSequence.from_terms(c, 2) for c in CRITICAL_2_6}
+
+
+def brute_force_avoiders(k, t, n):
+    """Zero-sum t-avoiding multisets of length n over [-k, k], by plain enumeration."""
+    found = set()
+    for elements in combinations_with_replacement(range(-k, k + 1), n):
+        if sum(elements) == 0:
+            s = BoundedSequence.from_elements(elements, k)
+            if t not in brute_force_spectrum(s):
+                found.add(s)
+    return found
 
 
 def test_longest_avoiding_k2_t6():
@@ -72,6 +87,17 @@ def test_longest_avoiding_node_cap():
     assert result.nodes_explored == 5
 
 
+def test_longest_avoiding_node_cap_spans_walks():
+    full = longest_avoiding(2, 12, 22)
+    assert full.exhaustive and full.nodes_explored > 1000
+    # the walk at the ceiling takes 416 nodes, so this cap stops a later walk
+    capped = longest_avoiding(2, 12, 22, max_nodes=1000)
+    assert capped.stop_reason == "node-limit"
+    assert not capped.exhaustive
+    assert capped.nodes_explored == 1000
+    assert longest_avoiding(2, 12, 22, max_nodes=full.nodes_explored) == full
+
+
 def test_longest_avoiding_time_cap():
     result = longest_avoiding(3, 60, 68, time_limit=0.0)
     assert result.stop_reason == "time-limit"
@@ -79,11 +105,30 @@ def test_longest_avoiding_time_cap():
     assert result.nodes_explored > 0
 
 
+def test_longest_avoiding_time_cap_spans_walks():
+    # Every walk here is under 1024 nodes; the clock is still read because
+    # the node count runs on across walks.
+    result = longest_avoiding(2, 12, 22, time_limit=0.0)
+    assert result.stop_reason == "time-limit"
+    assert not result.exhaustive
+
+
 def test_longest_avoiding_witness_cap():
     result = longest_avoiding(2, 6, 12, max_witnesses=2)
     assert result.best_length == 7
     assert len(result.witnesses) == 2
     assert set(result.witnesses) <= critical_set()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_longest_avoiding_matches_brute_force(k, t):
+    ceiling = t + 4
+    best = next(n for n in range(ceiling, -1, -1) if brute_force_avoiders(k, t, n))
+    result = longest_avoiding(k, t, ceiling, max_witnesses=None)
+    assert result.best_length == best
+    assert set(result.witnesses) == brute_force_avoiders(k, t, best)
+    assert len(result.witnesses) == len(set(result.witnesses))
 
 
 def test_longest_avoiding_is_deterministic():
@@ -109,6 +154,32 @@ def test_extremal_k2_t6_violates_the_two_support_patterns():
     assert not report.support_ok
 
 
+def test_extremal_k2_t12_matches_brute_force():
+    report = enumerate_extremal(2, 12)
+    assert report.exhaustive
+    assert len(report.sequences) == 18
+    assert set(report.sequences) == brute_force_avoiders(2, 12, 13)
+
+
+def test_extremal_k3_t60_is_complete_and_keeps_the_support_pattern():
+    report = enumerate_extremal(3, 60)
+    assert report.exhaustive
+    assert len(report.sequences) == 10
+    assert report.support_ok
+    assert {negate(s) for s in report.sequences} == set(report.sequences)
+    for s in report.sequences:
+        assert s.length == 65 and s.sigma == 0
+        # the closed form covers {-1, k-1, k}; the mirrored half is negated onto it
+        upper = s if set(s.support) <= {-1, 2, 3} else negate(s)
+        assert verify_frobenius_avoidance(3, 60, upper)
+
+
+def test_extremal_rechecks_every_sequence(monkeypatch):
+    monkeypatch.setattr("zsseq.search.is_t_avoiding", lambda s, t: False)
+    with pytest.raises(CrossCheckError):
+        enumerate_extremal(2, 6)
+
+
 def test_extremal_k1_is_degenerate():
     report = enumerate_extremal(1, 2)
     assert report.sequences == (BoundedSequence.from_terms({0: 1}, 1),)
@@ -121,21 +192,18 @@ def test_extremal_requires_finite_constant():
         enumerate_extremal(2, 7)
 
 
-def test_extremal_k3_requires_opt_in():
-    with pytest.raises(PreconditionError):
-        enumerate_extremal(3, 60)
-
-
-def test_extremal_k_above_cap_refused():
-    with pytest.raises(PreconditionError):
-        enumerate_extremal(EXTREMAL_MAX_K + 1, 420, allow_slow=True)
-
-
 def test_extremal_k3_cap_reports_not_exhaustive():
-    report = enumerate_extremal(3, 60, allow_slow=True, max_nodes=50_000)
+    # the complete walk takes 41,222 nodes
+    report = enumerate_extremal(3, 60, max_nodes=10_000)
     assert not report.exhaustive
     for s in report.sequences:
         assert s.length == 60 + 9 - 3 - 1 and s.sigma == 0 and is_t_avoiding(s, 60)
+
+
+def test_extremal_k4_cap_reports_not_exhaustive():
+    report = enumerate_extremal(4, 420, max_nodes=1000)
+    assert not report.exhaustive
+    assert report.sequences == ()
 
 
 def test_frobenius_avoidance_on_the_long_witness():
