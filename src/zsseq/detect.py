@@ -4,11 +4,19 @@ The kernel answers "does s contain a subsequence of length t summing to
 zero?" (and more generally, which (length, sum) pairs are achievable) by a
 layered dynamic program over the distinct values of s:
 
-* State space: pairs (j, sigma) with 0 <= j <= c (the length cap) and
+* State space: pairs (j, sigma) with 0 <= j <= c (the table height) and
   |sigma| <= bound * c.  Each row j is one Python int used as a bitset over
   sums, with bit position sigma + offset where offset = bound * c.  Any
   subsequence of length j has |sum| <= bound * j <= offset, so the window
   never loses genuine states.
+
+* Complement queries: for any multiset s of length n, removing a
+  subsequence of length j and sum sigma leaves one of length n - j and sum
+  sigma(s) - sigma, so (j, sigma) is reachable exactly when
+  (n - j, sigma(s) - sigma) is.  A table of height c therefore answers
+  every length in [0, c] and in [n - c, n], and a query for length t needs
+  height min(t, n - t) only.  The identity holds for every value prefix
+  of s too, which is what lets witnesses be recovered from the short side.
 
 * Values are processed in ascending order.  Adding up to m copies of a
   value v uses the binary (power-of-two) decomposition of min(m, c): each
@@ -18,7 +26,10 @@ layered dynamic program over the distinct values of s:
 * After each distinct value the full row block is retained as a layer, so
   a witness can be recovered by walking layers backwards.  At each layer
   the smallest feasible copy count is chosen, which makes witnesses
-  deterministic across runs and platforms.
+  deterministic across runs and platforms.  A length above c is recovered
+  by walking its complement target with the largest feasible count first
+  and keeping the copies left over: the same multiset a table of full
+  height would give.
 
 The memory footprint is estimated up-front from (layers x rows x window
 bits); if it would exceed the configured cap the build is refused with
@@ -37,6 +48,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .errors import CrossCheckError, PreconditionError, ResourceLimitError
@@ -82,9 +94,12 @@ class LengthSumTable:
     """Reachability table for (length, sum) pairs over subsequences of ``source``.
 
     ``rows[j]`` has bit (sigma + offset) set iff some subsequence of the
-    whole source has length j and sum sigma.  ``layers`` holds the same row
-    block after each distinct value (needed for witness recovery); it is
-    empty when the table was built with ``keep_layers=False``.
+    whole source has length j and sum sigma, for j <= ``max_length``;
+    longer lengths down to n - ``max_length`` are answered through the
+    complement, using ``source_sigma`` = sigma(source).  ``layers`` holds
+    the same row block after each distinct value (needed for witness
+    recovery); it is empty when the table was built with
+    ``keep_layers=False``.
     """
 
     source: BoundedSequence
@@ -94,7 +109,14 @@ class LengthSumTable:
     rows: tuple[int, ...]
     layers: tuple[ValueLayer, ...]
 
+    @cached_property
+    def source_sigma(self) -> int:
+        # Only complement queries need it; most tables never ask.
+        return self.source.sigma
+
     def reachable(self, length: int, total: int = 0) -> bool:
+        if length > self.max_length:
+            length, total = self.source.length - length, self.source_sigma - total
         if not 0 <= length <= self.max_length:
             return False
         pos = total + self.offset
@@ -103,7 +125,7 @@ class LengthSumTable:
         return bool(self.rows[length] >> pos & 1)
 
     def achievable_pairs(self) -> Iterator[tuple[int, int]]:
-        """All reachable (length, sum) pairs, in (length, sum) order."""
+        """All reachable (length, sum) pairs with length <= max_length, in (length, sum) order."""
         for j, row in enumerate(self.rows):
             sigma = -self.offset
             while row:
@@ -120,21 +142,29 @@ class LengthSumTable:
 
         Walks the retained layers backwards, taking the smallest feasible
         copy count of each value, which makes the result deterministic.
+        A length above ``max_length`` walks the complement target with the
+        largest feasible count first and keeps the copies left over, which
+        is the multiset the smallest-first walk of a taller table returns.
         """
         if not self.reachable(length, total):
             return None
         if len(self.layers) != len(self.source.terms):
             raise PreconditionError("table was built without layers; witnesses unavailable")
+        mirrored = length > self.max_length
+        if mirrored:
+            length, total = self.source.length - length, self.source_sigma - total
         counts: dict[int, int] = {}
         j, sigma = length, total
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
             prev = self.layers[i - 1].rows if i else _initial_rows(self.max_length, self.offset)
-            for copies in range(0, min(layer.mult, j) + 1):
+            tries = range(min(layer.mult, j) + 1)
+            for copies in reversed(tries) if mirrored else tries:
                 pos = sigma - copies * layer.value + self.offset
                 if 0 <= pos < self.width and prev[j - copies] >> pos & 1:
-                    if copies:
-                        counts[layer.value] = copies
+                    kept = layer.mult - copies if mirrored else copies
+                    if kept:
+                        counts[layer.value] = kept
                     j -= copies
                     sigma -= copies * layer.value
                     break
@@ -184,7 +214,7 @@ def build_table(
     memory_limit: int = DEFAULT_MEMORY_LIMIT,
     keep_layers: bool = True,
 ) -> LengthSumTable:
-    """Build the reachability table for subsequences of length <= max_length."""
+    """Reachability table of height max_length: lengths <= max_length and >= |s| - max_length."""
     if max_length < 0:
         raise PreconditionError(f"max_length must be >= 0, got {max_length}")
     estimate = estimate_table_bytes(s, max_length)
@@ -220,11 +250,13 @@ def find_zero_sum_of_length(
 ) -> Witness | None:
     """Deterministic witness of a zero-sum subsequence of length exactly t, or None.
 
-    Out-of-range targets (t < 0 or t > length of s) are simply absent.
+    Out-of-range targets (t < 0 or t > length of s) are simply absent.  The
+    table is only min(t, |s| - t) tall; a longer t is answered through the
+    complement, with the witness a table of height t would give.
     """
     if t < 0 or t > s.length:
         return None
-    table = build_table(s, t, memory_limit=memory_limit)
+    table = build_table(s, min(t, s.length - t), memory_limit=memory_limit)
     found = table.witness(t, 0)
     if found is None:
         return None
@@ -253,14 +285,17 @@ def check_complement_duality(
 
     Removing a zero-sum subsequence from a zero-sum sequence leaves a
     zero-sum complement, so the two flags must always agree; a False return
-    would indicate a kernel defect.
+    would indicate a kernel defect.  Both are read directly, without the
+    complement queries: row t of a table of height t against row |s| - t
+    of a table of height |s| - t.
     """
     if s.sigma != 0:
         raise PreconditionError("complement duality only applies to zero-sum sequences")
     if not 0 <= t <= s.length:
         raise PreconditionError(f"t must lie in [0, {s.length}], got {t}")
-    a = is_t_avoiding(s, t, memory_limit=memory_limit)
-    b = is_t_avoiding(s, s.length - t, memory_limit=memory_limit)
+    a = build_table(s, t, memory_limit=memory_limit, keep_layers=False).reachable(t)
+    rest = s.length - t
+    b = build_table(s, rest, memory_limit=memory_limit, keep_layers=False).reachable(rest)
     return a == b
 
 

@@ -16,7 +16,8 @@ reaches a fixpoint quickly.
 
 The search for T is complete: a qualifying T containing a foreign value f
 exists iff T - {f} is a subsequence of s - {f} of length j|X| - 1 summing
-to -f, which is a single kernel query per (j, f) pair.  Smallest j wins,
+to -f, which is a single kernel query per (j, f) pair, answered from the
+shorter of the lengths j|X| - 1 and |s| - j|X|.  Smallest j wins,
 then smallest f, then the kernel's deterministic witness, so rewrites are
 reproducible.
 """
@@ -151,7 +152,9 @@ def reduce_step(
     max_j = s.length // block_len
     if max_j < 1:
         return None
-    cap = max_j * block_len - 1
+    # T - {f} is a subsequence of s - {f} (length n - 1) of length j|X| - 1,
+    # which a table answers from its short side, min(j|X| - 1, n - j|X|).
+    cap = max(min(j * block_len - 1, s.length - j * block_len) for j in range(1, max_j + 1))
     tables = {}
     for j in range(1, max_j + 1):
         t_len = j * block_len - 1

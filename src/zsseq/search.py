@@ -20,7 +20,7 @@ from .constants import divisibility_condition
 from .detect import _walk_zero_sum, _WalkCapped, is_t_avoiding
 from .errors import CrossCheckError, PreconditionError
 from .reduction import BlockX, append_blocks, build_block
-from .sequences import BoundedSequence
+from .sequences import BoundedSequence, negate
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -208,24 +208,30 @@ def enumerate_extremal(
 
 
 def verify_frobenius_avoidance(k: int, t: int, s: BoundedSequence) -> bool:
-    """t-avoidance of a {-1, k-1, k}-supported zero-sum sequence, cross-checked.
+    """t-avoidance of a zero-sum sequence on {-1, k-1, k} or {1, -(k-1), -k}, cross-checked.
 
-    For such sequences a zero-sum subsequence with i copies of k and j of
-    k-1 needs k*i + (k-1)*j copies of -1 and has length (k+1)*i + k*j, so
-    t-containment has a closed form.  The kernel answer and the closed form
-    must agree or :class:`CrossCheckError` is raised.
+    For support within {-1, k-1, k} a zero-sum subsequence with i copies of
+    k and j of k-1 needs k*i + (k-1)*j copies of -1 and has length
+    (k+1)*i + k*j, so t-containment has a closed form.  The mirrored
+    support is negated onto it first: s avoids t exactly when -s does.  The
+    kernel answer on s and the closed form must agree or
+    :class:`CrossCheckError` is raised.
     """
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
     if t < 0:
         raise PreconditionError(f"t must be >= 0, got {t}")
-    if not set(s.support) <= {-1, k - 1, k}:
-        raise PreconditionError(f"support of {s} is not within {{-1, {k - 1}, {k}}}")
+    upper = {-1, k - 1, k}
+    top = s if set(s.support) <= upper else negate(s)
+    if not set(top.support) <= upper:
+        raise PreconditionError(
+            f"support of {s} is not within {{-1, {k - 1}, {k}}} or {{1, {1 - k}, {-k}}}"
+        )
     if s.sigma != 0:
         raise PreconditionError("sequence must be zero-sum")
-    v_top = s.multiplicity(k)
-    v_mid = s.multiplicity(k - 1)
-    v_neg = s.multiplicity(-1)
+    v_top = top.multiplicity(k)
+    v_mid = top.multiplicity(k - 1)
+    v_neg = top.multiplicity(-1)
     closed_form_containing = False
     for i in range(min(v_top, t // (k + 1)) + 1):
         rem = t - (k + 1) * i

@@ -137,6 +137,26 @@ def test_memory_cap_exit_3(run):
     assert "error:" in err
 
 
+def test_memory_cap_follows_the_short_side(run):
+    # t = n - 1 needs a table of height 1 (estimated at 588 bytes); one of
+    # height t would be estimated at 1,071,144 bytes, far above the cap.
+    code, doc, _ = run_json(
+        run, "check", "--seq", "2^150,1^100,0^1,-1^200,-2^100", "--t", "550",
+        "--memory-limit", "10000",
+    )
+    assert code == 0
+    assert doc["payload"]["avoiding"] is False
+    assert doc["payload"]["witness"] == {
+        "k": 2,
+        "terms": [
+            {"value": -2, "mult": 100},
+            {"value": -1, "mult": 200},
+            {"value": 1, "mult": 100},
+            {"value": 2, "mult": 150},
+        ],
+    }
+
+
 def test_search_longest_human_lines(run):
     code, out, _ = run("search-longest", "--k", "2", "--t", "6", "--ceiling", "12")
     assert code == 0

@@ -5,9 +5,13 @@ multiplicities) are deliberately independent computations of the same
 facts; these tests compare them rather than trusting either alone.
 """
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zsseq import detect
 from zsseq import (
     CrossCheckError,
     LengthSumTable,
@@ -17,6 +21,7 @@ from zsseq import (
     brute_force_spectrum,
     build_table,
     check_complement_duality,
+    enumerate_extremal,
     estimate_table_bytes,
     find_zero_sum_of_length,
     is_subsequence,
@@ -139,6 +144,27 @@ def test_complement_duality_on_zero_sum_sequences(k, data):
         assert check_complement_duality(s, t)
 
 
+def test_complement_duality_catches_a_corrupted_row(monkeypatch):
+    # Flipping the zero bit of row t in the height-t table must be noticed,
+    # so the check reads two independently built rows.
+    s = parse_sequence("2^2,1^3,-1^5,-2^1")
+    t = 4
+    assert check_complement_duality(s, t)
+    real = detect.build_table
+
+    def corrupted(seq, max_length, *args, **kwargs):
+        table = real(seq, max_length, *args, **kwargs)
+        if max_length != t:
+            return table
+        rows = list(table.rows)
+        rows[t] ^= 1 << table.offset
+        return dataclasses.replace(table, rows=tuple(rows))
+
+    monkeypatch.setattr(detect, "build_table", corrupted)
+    assert not check_complement_duality(s, t)
+    assert not check_complement_duality(s, s.length - t)
+
+
 def test_complement_duality_preconditions():
     with pytest.raises(PreconditionError):
         check_complement_duality(parse_sequence("1^1"), 0)
@@ -199,3 +225,74 @@ def test_iter_zero_sum_sequences_zero_free_mode():
     with_zero = set(iter_zero_sum_sequences(2, 5))
     without = set(iter_zero_sum_sequences(2, 5, include_zero=False))
     assert without < with_zero
+
+
+def random_sequence(rng, k, n, zero_sum):
+    elements = [rng.randint(-k, k) for _ in range(n)]
+    if zero_sum:
+        total = sum(elements)
+        while total:  # nudge random elements until the sum cancels; the length stays
+            i = rng.randrange(n)
+            step = max(-k, min(k, elements[i] - total)) - elements[i]
+            elements[i] += step
+            total += step
+    return BoundedSequence.from_elements(elements, bound=k)
+
+
+def test_short_side_witness_equals_the_full_height_witness():
+    # find_zero_sum_of_length builds a table of height min(t, n - t); its
+    # witness must be the one a height-t table gives, for every t.
+    rng = random.Random(20261018)
+    for trial in range(90):
+        k = 1 + trial % 6
+        s = random_sequence(rng, k, rng.randint(0, 60), zero_sum=trial % 2 == 0)
+        for t in range(s.length + 1):
+            found = find_zero_sum_of_length(s, t)
+            expected = build_table(s, t).witness(t, 0)
+            assert (found and found.subsequence) == expected, (s, t)
+
+
+def test_reachable_on_both_sides_matches_the_oracle():
+    # A table of height h answers [0, h] and [n - h, n] exactly, with valid
+    # witnesses, and nothing else.
+    rng = random.Random(5)
+    for trial in range(60):
+        k = 1 + trial % 4
+        s = random_sequence(rng, k, rng.randint(0, 9), zero_sum=trial % 3 == 0)
+        n = s.length
+        pairs = brute_force_pairs(s)
+        for h in range(n + 1):
+            table = build_table(s, h)
+            answered = set(range(h + 1)) | set(range(n - h, n + 1))
+            for length in range(-2, n + 3):
+                for total in range(-k * n - 1, k * n + 2):
+                    expected = length in answered and (length, total) in pairs
+                    assert table.reachable(length, total) == expected, (s, h, length, total)
+                    w = table.witness(length, total)
+                    assert (w is not None) == expected
+                    if w is not None:
+                        assert is_subsequence(w, s) and (w.length, w.sigma) == (length, total)
+        assert {t for t in range(n + 1) if not is_t_avoiding(s, t)} == brute_force_spectrum(s)
+
+
+def test_one_shot_tables_stay_on_the_short_side(monkeypatch):
+    # Guards the complement queries: a long target must not build a tall table.
+    heights = []
+    real = detect.build_table
+
+    def recording(seq, max_length, *args, **kwargs):
+        heights.append(max_length)
+        return real(seq, max_length, *args, **kwargs)
+
+    monkeypatch.setattr(detect, "build_table", recording)
+    s = parse_sequence("2^150,1^100,0^1,-1^200,-2^100")
+    found = find_zero_sum_of_length(s, s.length - 1)
+    assert heights == [1]
+    assert found is not None
+    assert found.subsequence == parse_sequence("2^150,1^100,-1^200,-2^100")
+
+    # extremal re-checks each sequence of length t + k^2 - k - 1 against t
+    heights.clear()
+    report = enumerate_extremal(3, 60)
+    assert len(heights) == len(report.sequences) == 10
+    assert max(heights) <= 3 * 3 - 3 - 1

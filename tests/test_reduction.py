@@ -1,5 +1,7 @@
 """Block machinery: frequent elements, rewriting, stripping, padding."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from zsseq import (
     PreconditionError,
     append_blocks,
     build_block,
+    build_table,
     complete_block,
     foreign_count,
     frequent_elements,
@@ -125,6 +128,45 @@ def test_reduce_step_removed_piece_properties():
     assert is_subsequence(step.removed, s)
     # the removed piece must carry at least one foreign element
     assert any(v not in (1, -1) for v, _ in step.removed.terms)
+
+
+def full_cap_reduce_step(s, x):
+    """reduce_step with every table of s - {f} built up to max_j * |X| - 1."""
+    keep = {x.alpha, -x.beta}
+    foreign_values = [value for value, _ in s.terms if value not in keep]
+    max_j = s.length // x.length
+    if not foreign_values or max_j < 1:
+        return None
+    tables = {
+        f: build_table(remove(s, BoundedSequence.from_terms({f: 1}, s.bound)), max_j * x.length - 1)
+        for f in foreign_values
+    }
+    for j in range(1, max_j + 1):
+        for f in foreign_values:
+            rest = tables[f].witness(j * x.length - 1, -f)
+            if rest is not None:
+                removed = concat(rest, BoundedSequence.from_terms({f: 1}, s.bound))
+                return concat(remove(s, removed), repeat(x.block, j)), removed, j
+    return None
+
+
+def test_reduce_step_matches_the_full_cap_reference():
+    # The short-side tables must pick the same j, f and witness as tables
+    # tall enough to answer every j|X| - 1 directly.  Half the sequences are
+    # shorter than 2|X| - 1, so j = 1 is answered through the complement.
+    rng = random.Random(11)
+    stepped = 0
+    for trial in range(200):
+        k = rng.randint(2, 5)
+        x = build_block(rng.randint(1, k), rng.randint(1, k))
+        n = rng.randint(0, 40) if trial % 2 else rng.randint(x.length, 2 * x.length - 2)
+        s = BoundedSequence.from_elements([rng.randint(-k, k) for _ in range(n)], bound=k)
+        step = reduce_step(s, x)
+        expected = full_cap_reduce_step(s, x)
+        got = None if step is None else (step.result, step.removed, step.inserted_copies)
+        assert got == expected, (s, x.alpha, x.beta)
+        stepped += step is not None
+    assert stepped > 80
 
 
 def test_reduce_fixpoint_trace_replays():

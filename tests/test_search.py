@@ -169,9 +169,7 @@ def test_extremal_k3_t60_is_complete_and_keeps_the_support_pattern():
     assert {negate(s) for s in report.sequences} == set(report.sequences)
     for s in report.sequences:
         assert s.length == 65 and s.sigma == 0
-        # the closed form covers {-1, k-1, k}; the mirrored half is negated onto it
-        upper = s if set(s.support) <= {-1, 2, 3} else negate(s)
-        assert verify_frobenius_avoidance(3, 60, upper)
+        assert verify_frobenius_avoidance(3, 60, s)
 
 
 def test_extremal_rechecks_every_sequence(monkeypatch):
@@ -210,6 +208,10 @@ def test_frobenius_avoidance_on_the_long_witness():
     s = parse_sequence("3^14,2^3,-1^48")
     assert verify_frobenius_avoidance(3, 60, s)
     assert not verify_frobenius_avoidance(3, 59, s)
+    # the mirrored support {1, -(k-1), -k} is negated onto the closed form
+    mirrored = parse_sequence("-3^14,-2^3,1^48")
+    assert verify_frobenius_avoidance(3, 60, mirrored)
+    assert not verify_frobenius_avoidance(3, 59, mirrored)
 
 
 def test_frobenius_avoidance_t0_always_contained():
@@ -221,6 +223,10 @@ def test_frobenius_avoidance_preconditions():
         verify_frobenius_avoidance(3, 10, parse_sequence("1^1,-1^1", bound=3))
     with pytest.raises(PreconditionError):
         verify_frobenius_avoidance(3, 10, parse_sequence("3^1,-1^2"))
+    with pytest.raises(PreconditionError):  # mirrored support, not zero-sum
+        verify_frobenius_avoidance(3, 10, parse_sequence("-3^1,1^2"))
+    with pytest.raises(PreconditionError):  # zero-sum, but mixes both patterns
+        verify_frobenius_avoidance(3, 10, parse_sequence("3^1,-2^1,-1^1"))
     with pytest.raises(PreconditionError):
         verify_frobenius_avoidance(0, 10, parse_sequence("0^1"))
     with pytest.raises(PreconditionError):
@@ -237,6 +243,7 @@ def test_frobenius_avoidance_preconditions():
 def test_frobenius_closed_form_never_disagrees_with_kernel(k, i, j, t):
     s = BoundedSequence.from_terms({k: i, k - 1: j, -1: k * i + (k - 1) * j}, k)
     assert verify_frobenius_avoidance(k, t, s) == is_t_avoiding(s, t)
+    assert verify_frobenius_avoidance(k, t, negate(s)) == is_t_avoiding(s, t)
 
 
 @pytest.mark.parametrize(
