@@ -262,8 +262,6 @@ def _cmd_lambert(args: argparse.Namespace) -> _Envelope:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> _Envelope:
-    scale = 0.05 if args.quick else args.scale
-
     def on_suite(result) -> None:
         mark = "ok" if result.ok else "FAIL"
         print(
@@ -273,7 +271,7 @@ def _cmd_selftest(args: argparse.Namespace) -> _Envelope:
             flush=True,
         )
 
-    results = run_all(seed=args.seed, scale=scale, on_suite=on_suite)
+    results = run_all(seed=args.seed, scale=args.scale, on_suite=on_suite)
     ok = all(r.ok for r in results)
     payload = {"ok": ok, "suites": [r.to_json_dict() for r in results]}
     human = [
@@ -297,7 +295,9 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--seq", help="sequence text, e.g. '2^1,1^2,-1^4'")
     group.add_argument("--seq-file", help="file containing the sequence text")
     seq_common.add_argument("--k", type=_positive_int, help="enforce this element bound")
-    seq_common.add_argument(
+
+    memory_common = argparse.ArgumentParser(add_help=False)
+    memory_common.add_argument(
         "--memory-limit",
         type=_positive_int,
         default=DEFAULT_MEMORY_LIMIT,
@@ -324,10 +324,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    p = add("check", _cmd_check, "test a sequence for zero-sum subsequences of one length", [seq_common])
+    p = add("check", _cmd_check, "test a sequence for zero-sum subsequences of one length", [seq_common, memory_common])
     p.add_argument("--t", type=_non_negative_int, required=True, help="target subsequence length")
 
-    add("spectrum", _cmd_spectrum, "all zero-sum subsequence lengths of a sequence", [seq_common])
+    add("spectrum", _cmd_spectrum, "all zero-sum subsequence lengths of a sequence", [seq_common, memory_common])
 
     p = add("constant", _cmd_constant, "the avoidance constant for (k, t)", [])
     p.add_argument("--k", type=_positive_int, required=True)
@@ -357,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_positive_int, required=True)
     p.add_argument("--min-length", type=_positive_int, required=True)
 
-    add("reduce", _cmd_reduce, "rewrite toward block form and strip whole blocks", [seq_common, block_common])
+    add("reduce", _cmd_reduce, "rewrite toward block form and strip whole blocks", [seq_common, memory_common, block_common])
     add("strip", _cmd_strip, "remove whole blocks only", [seq_common, block_common])
     add("complete-block", _cmd_complete_block, "pad a sequence to zero-sum with block values", [seq_common, block_common])
 
@@ -384,7 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("selftest", _cmd_selftest, "run the randomized property suites", [])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", type=_positive_float, default=1.0, help="trial-count multiplier")
-    p.add_argument("--quick", action="store_true", help="shorthand for --scale 0.05")
 
     return parser
 

@@ -185,7 +185,9 @@ def minimal_zero_sum_max_length(k: int) -> int:
     is zero-free, and ordering one so that each partial sum is opposed by
     the next element keeps all proper prefix sums nonzero in [-k, k], so by
     pigeonhole a minimal sequence has length at most 2k.  Searching lengths
-    up to 2k + 1 is therefore exhaustive with one length of margin.
+    up to 2k + 1 is therefore exhaustive with one length of margin.  The
+    enumeration includes 0, and the spectrum test rejects those sequences:
+    from length 2 on, {0} is a proper zero-sum piece of them.
     """
     _check_positive("k", k)
     if k > MINIMAL_SEARCH_MAX_K:
@@ -194,7 +196,7 @@ def minimal_zero_sum_max_length(k: int) -> int:
         )
     best = 1  # the singleton {0}
     for length in range(2, 2 * k + 2):
-        for s in iter_zero_sum_sequences(k, length, include_zero=False):
+        for s in iter_zero_sum_sequences(k, length):
             if spectrum(s).lengths == frozenset((0, length)):
                 best = max(best, length)
     return best

@@ -39,9 +39,11 @@ For cross-checking, :func:`brute_force_pairs` / :func:`brute_force_spectrum`
 enumerate every subsequence explicitly and never touch the bitset code
 path; tests and ``selftest`` compare the two routes.
 
-Every exhaustive walk over zero-sum multisets in [-k, k] (the enumeration
-here and the searches in :mod:`zsseq.search`) goes through one walker,
-:func:`_walk_zero_sum`, which can carry the kernel rows along a branch.
+Every exhaustive walk over zero-sum multisets in [-k, k] goes through one
+walker, :func:`_walk_zero_sum`, whose leaves are the multisets that avoid
+a length t.  The searches in :mod:`zsseq.search` carry the kernel rows
+along a branch to test that; the enumeration here asks for t = length + 1,
+which needs no rows and makes every zero-sum multiset a leaf.
 """
 
 from __future__ import annotations
@@ -323,23 +325,20 @@ def brute_force_spectrum(s: BoundedSequence) -> frozenset[int]:
     return frozenset(length for length, total in brute_force_pairs(s) if total == 0)
 
 
-def iter_zero_sum_sequences(
-    k: int,
-    length: int,
-    include_zero: bool = True,
-) -> Iterator[BoundedSequence]:
+def iter_zero_sum_sequences(k: int, length: int) -> Iterator[BoundedSequence]:
     """All zero-sum multisets over [-k, k] of the given total length.
 
     Deterministic order: multiplicities are fixed value by value with |value|
-    descending (positive before negative); when ``include_zero`` is set the
-    value 0 absorbs whatever length remains.
+    descending (positive before negative), and the value 0 absorbs whatever
+    length remains.  The walk avoids t = length + 1, which no multiset of
+    this length can contain, so it carries no kernel rows.
     """
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
     if length < 0:
         raise PreconditionError(f"length must be >= 0, got {length}")
     found: list[BoundedSequence] = []
-    _walk_zero_sum(k, length, found.append, zero=include_zero)
+    _walk_zero_sum(k, length, found.append, length + 1)
     return iter(found)
 
 
@@ -356,8 +355,7 @@ def _walk_zero_sum(
     k: int,
     length: int,
     on_leaf,
-    t: int | None = None,
-    zero: bool = True,
+    t: int,
     max_nodes: int | None = None,
     deadline: float | None = None,
     progress=None,
@@ -366,18 +364,18 @@ def _walk_zero_sum(
     """Depth-first walk over the zero-sum multisets over [-k, k] of exactly ``length`` elements.
 
     Multiplicities are fixed value by value: |value| descending, positive
-    before negative, 0 last (left out unless ``zero``), each from 0 upward;
-    the last value takes whatever length remains.  ``on_leaf(s)`` is
-    called with every such multiset, as a sequence, in that order.
+    before negative, 0 last, each from 0 upward; the last value takes
+    whatever length remains.  ``on_leaf(s)`` is called with every such
+    multiset that avoids t, as a sequence, in that order.
 
     A branch is cut once the values still to come cannot fill the
-    remaining length and cancel the partial sum.  With ``t`` given, only
-    multisets avoiding t are leaves.  The rest of a zero-sum multiset
-    after a zero-sum piece is zero-sum, so it avoids t exactly when it
-    avoids length - t: the kernel rows are carried only for lengths
-    <= min(t, length - t), extended one copy at a time along the branch,
-    which is cut the moment it contains a zero-sum of that length.  With
-    length < t no rows are needed.
+    remaining length and cancel the partial sum.  The rest of a zero-sum
+    multiset after a zero-sum piece is zero-sum, so it avoids t exactly
+    when it avoids length - t: the kernel rows are carried only for
+    lengths <= min(t, length - t), extended one copy at a time along the
+    branch, which is cut the moment it contains a zero-sum of that length.
+    With length < t no rows are needed and every zero-sum multiset is a
+    leaf.
 
     Nodes are counted on from ``nodes``, so a search made of several
     walks keeps one count for ``max_nodes``, the ``time.monotonic()``
@@ -385,13 +383,13 @@ def _walk_zero_sum(
     65536).  Returns the count.  Raises :class:`_WalkCapped`, carrying the
     count so far, when ``max_nodes`` is exceeded or the deadline passed.
     """
-    order = [v for a in range(k, 0, -1) for v in (a, -a)] + [0] * zero
+    order = [v for a in range(k, 0, -1) for v in (a, -a)] + [0]
     last = len(order) - 1
     # Range of the values after index i; every remaining slot takes one.
     later_lo = [min(order[i + 1 :]) for i in range(last)]
     later_hi = [max(order[i + 1 :]) for i in range(last)]
 
-    carry = t is not None and length >= t
+    carry = length >= t
     if carry:
         cap = min(t, length - t)
         offset = k * cap

@@ -1,9 +1,11 @@
 """Searches over zero-sum avoiding sequences: maxima, extremal sets, families.
 
-The exhaustive searches are exact-length walks of the zero-sum walker of
-:mod:`zsseq.detect`, which carries the kernel rows along each branch, so
-containment prunes a subtree the moment it appears and every surviving
-leaf is already avoiding; each result is re-checked by the kernel.
+One search driver, :func:`longest_avoiding`, makes exact-length walks of
+the zero-sum walker of :mod:`zsseq.detect`, which carries the kernel rows
+along each branch, so containment prunes a subtree the moment it appears
+and every surviving leaf is already avoiding; each result is re-checked by
+the kernel.  :func:`enumerate_extremal` is that search with its ceiling at
+the critical length, keeping only that length.
 
 Exhaustiveness is only claimed when every walk was covered and the best
 length found lies strictly below the ceiling; hitting a node or time cap,
@@ -165,10 +167,12 @@ def enumerate_extremal(
 ) -> ExtremalReport:
     """Every t-avoiding zero-sum sequence of length t + k^2 - k - 1 over [-k, k].
 
-    One walk at that length, which by complement duality carries kernel
-    rows only up to k^2 - k - 1; a node or time cap interrupting it is
-    reported as ``exhaustive=False``.  Every sequence is re-checked
-    against t by the kernel.  ``support_ok`` states whether every sequence
+    That length is one below the constant, so :func:`longest_avoiding` with
+    its ceiling there stops after walking it, and its witnesses (all of
+    them, re-checked by the kernel) are the answer; if none has that length
+    the answer is empty.  For k = 1 the length is t - 1, which the search
+    walks when its ceiling is t.  A node or time cap is reported as
+    ``exhaustive=False``.  ``support_ok`` states whether every sequence
     found has support within {-1, k-1, k} or within {1, -(k-1), -k}; k = 1
     collapses those sets and is flagged ``degenerate``.
     """
@@ -180,18 +184,10 @@ def enumerate_extremal(
             f"no finite constant for k={k}, t={t}; extremal length is undefined"
         )
     target = t + k * k - k - 1
-
-    found: list[BoundedSequence] = []
-    deadline = None if time_limit is None else time.monotonic() + time_limit
-    stop_reason = None
-    try:
-        _walk_zero_sum(k, target, found.append, t=t, max_nodes=max_nodes, deadline=deadline)
-    except _WalkCapped as cap:
-        stop_reason = cap.reason
-
-    for s in found:
-        if not is_t_avoiding(s, t):
-            raise CrossCheckError(f"extremal enumeration produced a t-containing sequence: {s}")
+    result = longest_avoiding(
+        k, t, max(target, t), max_nodes=max_nodes, time_limit=time_limit, max_witnesses=None
+    )
+    found = result.witnesses if result.best_length == target else ()
     upper = {-1, k - 1, k}
     lower = {1, -(k - 1), -k}
     support_ok = all(
@@ -200,9 +196,9 @@ def enumerate_extremal(
     return ExtremalReport(
         k=k,
         t=t,
-        sequences=tuple(sorted(found, key=lambda s: s.terms)),
+        sequences=found,
         support_ok=support_ok,
-        exhaustive=stop_reason is None,
+        exhaustive=result.stop_reason is None,
         degenerate=k == 1,
     )
 

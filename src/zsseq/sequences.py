@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     SequenceBoundError,
@@ -118,9 +118,6 @@ class BoundedSequence:
 
     def multiplicity(self, value: int) -> int:
         return self._by_value.get(value, 0)  # type: ignore[attr-defined]
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(self.terms)
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.terms)

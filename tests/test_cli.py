@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import zsseq
+from zsseq import Spectrum, spectrum
 from zsseq.cli import main
+from zsseq.selftest import run_all
 
 
 @pytest.fixture
@@ -112,6 +114,10 @@ def test_domain_error_exit_code_and_envelope(run):
         ["search-longest", "--k", "2", "--t", "6", "--ceiling", "12", "--time-limit", "nan"],
         ["selftest", "--scale", "nan"],
         ["selftest", "--scale", "inf"],
+        ["selftest", "--quick"],  # no such flag; --scale sets the trial counts
+        # neither command builds a kernel table, so neither takes a memory cap
+        ["strip", "--seq", "1^2,-1^2", "--alpha", "1", "--beta", "1", "--memory-limit", "5"],
+        ["complete-block", "--seq", "1^2", "--alpha", "1", "--beta", "1", "--memory-limit", "5"],
     ],
 )
 def test_usage_errors_exit_2(run, argv):
@@ -270,12 +276,42 @@ def test_divides_json(run):
 
 
 def test_selftest_quick(run):
-    code, doc, err = run_json(run, "selftest", "--quick", "--seed", "7")
+    code, doc, err = run_json(run, "selftest", "--scale", "0.05", "--seed", "7")
     assert code == 0
     payload = doc["payload"]
     assert payload["ok"] is True
     assert len(payload["suites"]) == 6
     assert err.count("[ok]") == 6
+
+
+def test_selftest_reports_a_failing_suite(run, monkeypatch):
+    # A kernel that drops the full length from every spectrum breaks the
+    # endpoint check of spectrum_symmetry on every trial.
+    def broken(s):
+        return Spectrum(spectrum(s).lengths - {s.length})
+
+    monkeypatch.setattr("zsseq.selftest.spectrum", broken)
+    results = {r.name: r for r in run_all(scale=0.01)}
+    failed = results["spectrum_symmetry"]
+    assert failed.failures > 0 and not failed.ok
+    assert failed.detail.startswith("trial ")
+    code, doc, err = run_json(run, "selftest", "--scale", "0.01")
+    assert code == 1
+    assert doc["status"] == "error" and doc["payload"]["ok"] is False
+    assert "[FAIL] spectrum_symmetry" in err
+
+
+def test_bounds_bracket_the_finite_constant(run):
+    code, doc, _ = run_json(run, "bounds", "--k", "4", "--t", "420")
+    assert code == 0
+    assert doc["payload"] == {"k": 4, "t": 420, "lower": 432, "upper": 450}
+    code, _, err = run("bounds", "--k", "3", "--t", "24")
+    assert code == 1 and err.startswith("error:")
+
+
+def test_time_limit_not_reached_changes_nothing(run):
+    argv = ["search-longest", "--k", "2", "--t", "6", "--ceiling", "12", "--json"]
+    assert run(*argv, "--time-limit", "60") == run(*argv)
 
 
 # Exit code and sha256 of the --json stdout for a fixed set of inputs;

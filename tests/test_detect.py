@@ -6,6 +6,7 @@ facts; these tests compare them rather than trusting either alone.
 """
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -193,38 +194,28 @@ def test_estimate_grows_with_length():
 
 
 def test_iter_zero_sum_sequences_matches_filtered_enumeration():
-    k, length = 2, 4
-    found = set(iter_zero_sum_sequences(k, length))
-    # Independent route: all multisets of the length, filtered by sum.
-    values = range(-k, k + 1)
-
-    def all_multisets(i, room, acc):
-        if i == len(list(values)):
+    # Independent route: all multisets of each length, filtered by sum.
+    def all_multisets(values, i, room, acc):
+        if i == len(values):
             if room == 0:
                 yield dict(acc)
             return
-        v = list(values)[i]
+        v = values[i]
         for c in range(room + 1):
             acc[v] = c
-            yield from all_multisets(i + 1, room - c, acc)
+            yield from all_multisets(values, i + 1, room - c, acc)
         acc.pop(v, None)
 
-    expected = {
-        BoundedSequence.from_terms(m, k)
-        for m in all_multisets(0, length, {})
-        if sum(v * c for v, c in m.items()) == 0
-    }
-    assert found == expected
-    assert all(s.length == length and s.sigma == 0 for s in found)
-
-
-def test_iter_zero_sum_sequences_zero_free_mode():
-    for s in iter_zero_sum_sequences(2, 5, include_zero=False):
-        assert s.multiplicity(0) == 0
-        assert s.length == 5
-    with_zero = set(iter_zero_sum_sequences(2, 5))
-    without = set(iter_zero_sum_sequences(2, 5, include_zero=False))
-    assert without < with_zero
+    for k, length in itertools.product(range(1, 4), range(7)):
+        found = list(iter_zero_sum_sequences(k, length))
+        expected = {
+            BoundedSequence.from_terms(m, k)
+            for m in all_multisets(list(range(-k, k + 1)), 0, length, {})
+            if sum(v * c for v, c in m.items()) == 0
+        }
+        assert len(found) == len(set(found))
+        assert set(found) == expected
+        assert all(s.length == length and s.sigma == 0 for s in found)
 
 
 def random_sequence(rng, k, n, zero_sum):

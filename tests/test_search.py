@@ -5,6 +5,8 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zsseq.detect
+import zsseq.search
 from zsseq import (
     CrossCheckError,
     PreconditionError,
@@ -13,6 +15,7 @@ from zsseq import (
     enumerate_extremal,
     family_generator,
     is_t_avoiding,
+    iter_zero_sum_sequences,
     lemma42_search,
     longest_avoiding,
     negate,
@@ -202,6 +205,34 @@ def test_extremal_k4_cap_reports_not_exhaustive():
     report = enumerate_extremal(4, 420, max_nodes=1000)
     assert not report.exhaustive
     assert report.sequences == ()
+
+
+@pytest.mark.parametrize(
+    "call,walks",
+    [
+        (lambda: enumerate_extremal(2, 12), [(2, 13, 12)]),
+        (lambda: enumerate_extremal(1, 4), [(1, 3, 4)]),
+        (lambda: enumerate_extremal(3, 60), [(3, 65, 60)]),
+        (lambda: list(iter_zero_sum_sequences(2, 4)), [(2, 4, 5)]),
+    ],
+    ids=["extremal-2-12", "extremal-1-4", "extremal-3-60", "iter-2-4"],
+)
+def test_each_call_walks_once(monkeypatch, call, walks):
+    # A ceiling one above the critical length gives the same answer after
+    # an extra, empty walk; only the recorded walks show it.
+    seen = []
+
+    def recording(original):
+        def walk(k, length, on_leaf, t, **caps):
+            seen.append((k, length, t))
+            return original(k, length, on_leaf, t, **caps)
+
+        return walk
+
+    for module in (zsseq.search, zsseq.detect):
+        monkeypatch.setattr(module, "_walk_zero_sum", recording(module._walk_zero_sum))
+    call()
+    assert seen == walks
 
 
 def test_frobenius_avoidance_on_the_long_witness():
