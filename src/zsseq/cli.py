@@ -173,6 +173,7 @@ def _cmd_extremal(args: argparse.Namespace) -> _Envelope:
         f"count: {len(report.sequences)}",
         f"support_ok: {_flag(report.support_ok)}",
         f"exhaustive: {_flag(report.exhaustive)}",
+        f"nodes_explored: {report.nodes_explored}",
     ]
     human += [f"sequence: {_show(s)}" for s in report.sequences]
     if not report.exhaustive:

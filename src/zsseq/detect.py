@@ -54,7 +54,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .errors import CrossCheckError, PreconditionError, ResourceLimitError
-from .sequences import BoundedSequence
+from .sequences import BoundedSequence, negate
 
 #: Default cap on the estimated table payload, in bytes (1 GiB).
 DEFAULT_MEMORY_LIMIT = 1 << 30
@@ -330,8 +330,9 @@ def iter_zero_sum_sequences(k: int, length: int) -> Iterator[BoundedSequence]:
 
     Deterministic order: multiplicities are fixed value by value with |value|
     descending (positive before negative), and the value 0 absorbs whatever
-    length remains.  The walk avoids t = length + 1, which no multiset of
-    this length can contain, so it carries no kernel rows.
+    length remains; that is, ascending by :func:`_walk_order_key`.  The walk
+    avoids t = length + 1, which no multiset of this length can contain, so
+    it carries no kernel rows.
     """
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
@@ -339,7 +340,18 @@ def iter_zero_sum_sequences(k: int, length: int) -> Iterator[BoundedSequence]:
         raise PreconditionError(f"length must be >= 0, got {length}")
     found: list[BoundedSequence] = []
     _walk_zero_sum(k, length, found.append, length + 1)
+    found.sort(key=_walk_order_key)
     return iter(found)
+
+
+def _value_order(k: int) -> list[int]:
+    """The walker's value order over [-k, k]: k, -k, k-1, -(k-1), ..., 1, -1, 0."""
+    return [v for a in range(k, 0, -1) for v in (a, -a)] + [0]
+
+
+def _walk_order_key(s: BoundedSequence) -> tuple[int, ...]:
+    """Multiplicities in the walker's value order; a full walk would emit leaves ascending by it."""
+    return tuple(s.multiplicity(v) for v in _value_order(s.bound))
 
 
 class _WalkCapped(Exception):
@@ -366,7 +378,17 @@ def _walk_zero_sum(
     Multiplicities are fixed value by value: |value| descending, positive
     before negative, 0 last, each from 0 upward; the last value takes
     whatever length remains.  ``on_leaf(s)`` is called with every such
-    multiset that avoids t, as a sequence, in that order.
+    multiset that avoids t, as a sequence, exactly once.
+
+    Negation maps [-k, k] onto itself and keeps every subsequence's length
+    and sum, so s avoids t exactly when -s does, and the walk visits one
+    sign of each pair: at the first a (from k down) whose count differs
+    from that of -a, the count of a is the larger.  While every pair fixed
+    so far is tied, -a takes at most as many copies as a.  Each leaf s is
+    passed to ``on_leaf`` and then its mirror -s, or s alone when the
+    branch is tied throughout (s = -s).  Leaves thus arrive canonical
+    first, each followed by its mirror, and not in the order of
+    :func:`_walk_order_key`; callers that need that order sort by it.
 
     A branch is cut once the values still to come cannot fill the
     remaining length and cancel the partial sum.  The rest of a zero-sum
@@ -383,7 +405,7 @@ def _walk_zero_sum(
     65536).  Returns the count.  Raises :class:`_WalkCapped`, carrying the
     count so far, when ``max_nodes`` is exceeded or the deadline passed.
     """
-    order = [v for a in range(k, 0, -1) for v in (a, -a)] + [0]
+    order = _value_order(k)
     last = len(order) - 1
     # Range of the values after index i; every remaining slot takes one.
     later_lo = [min(order[i + 1 :]) for i in range(last)]
@@ -397,7 +419,7 @@ def _walk_zero_sum(
 
     counts: dict[int, int] = {}
 
-    def descend(i: int, filled: int, total: int, rows) -> None:
+    def descend(i: int, filled: int, total: int, rows, tied: bool) -> None:
         nonlocal nodes
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
@@ -418,11 +440,17 @@ def _walk_zero_sum(
                     _add_copies(rows, value, 1, cap, mask)
                 if rows[cap] >> offset & 1:
                     return
-            on_leaf(BoundedSequence.from_terms({**counts, value: left}, k))
+            leaf = BoundedSequence.from_terms({**counts, value: left}, k)
+            on_leaf(leaf)
+            if not tied:
+                on_leaf(negate(leaf))
             return
         lo = later_lo[i]
         hi = later_hi[i]
-        for copies in range(left + 1):
+        # Sign cut: while every pair so far is tied, -a takes at most as many copies as a.
+        partner = counts.get(-value, 0) if tied and value < 0 else None
+        most = left if partner is None else min(left, partner)
+        for copies in range(most + 1):
             if copies:
                 if carry:
                     _add_copies(rows, value, 1, cap, mask)
@@ -436,8 +464,11 @@ def _walk_zero_sum(
             if (new_total + rest * lo > 0) if value > 0 else (new_total + rest * hi < 0):
                 break  # past the window; more copies stay past it
             if new_total + rest * lo <= 0 <= new_total + rest * hi:
-                descend(i + 1, filled + copies, new_total, rows)
+                descend(
+                    i + 1, filled + copies, new_total, rows,
+                    tied and (value > 0 or copies == partner),
+                )
         counts.pop(value, None)
 
-    descend(0, 0, 0, _initial_rows(cap, offset) if carry else ())
+    descend(0, 0, 0, _initial_rows(cap, offset) if carry else (), True)
     return nodes

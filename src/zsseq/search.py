@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .constants import divisibility_condition
-from .detect import _walk_zero_sum, _WalkCapped, is_t_avoiding
+from .detect import _walk_order_key, _walk_zero_sum, _WalkCapped, is_t_avoiding
 from .errors import CrossCheckError, PreconditionError
 from .reduction import BlockX, append_blocks, build_block
 from .sequences import BoundedSequence, negate
@@ -56,7 +56,8 @@ class ExtremalReport:
     t: int
     sequences: tuple[BoundedSequence, ...]
     support_ok: bool
-    exhaustive: bool = True
+    exhaustive: bool
+    nodes_explored: int
     degenerate: bool = False
 
     def to_json_dict(self) -> dict:
@@ -66,6 +67,7 @@ class ExtremalReport:
             "sequences": [s.to_json_dict() for s in self.sequences],
             "support_ok": self.support_ok,
             "exhaustive": self.exhaustive,
+            "nodes_explored": self.nodes_explored,
             "degenerate": self.degenerate,
         }
 
@@ -105,7 +107,8 @@ def longest_avoiding(
 
     Walks the lengths ceiling, ceiling - 1, ..., t + 1, then t - 1 (length t
     contains itself) and stops at the first with an avoiding sequence;
-    ``witnesses`` holds those (up to ``max_witnesses``), in canonical order.
+    ``witnesses`` holds those, or the first ``max_witnesses`` in walk order
+    (ascending :func:`~zsseq.detect._walk_order_key`), in canonical order.
     ``max_nodes`` and ``time_limit`` bound the whole search.  ``exhaustive``
     is True only if no cap was hit and the maximum is below the ceiling.
     """
@@ -119,11 +122,19 @@ def longest_avoiding(
     best = -1
     witnesses: list[BoundedSequence] = []
 
+    def keep_first() -> None:
+        witnesses.sort(key=_walk_order_key)
+        del witnesses[max_witnesses:]
+
     def on_leaf(s: BoundedSequence) -> None:
         nonlocal best
         best = s.length
-        if max_witnesses is None or len(witnesses) < max_witnesses:
-            witnesses.append(s)
+        witnesses.append(s)
+        # Mirrors arrive out of walk order, so keep the smallest by key:
+        # trimming at twice the cap bounds the buffer with one sort per
+        # ``max_witnesses`` leaves.
+        if max_witnesses is not None and len(witnesses) >= 2 * max_witnesses:
+            keep_first()
 
     wrapped = None
     if progress is not None:
@@ -145,6 +156,8 @@ def longest_avoiding(
         if best >= 0:
             break
 
+    if max_witnesses is not None:
+        keep_first()
     for w in witnesses:
         if w.sigma != 0 or not is_t_avoiding(w, t):
             raise CrossCheckError(f"search produced an invalid witness: {w}")
@@ -199,6 +212,7 @@ def enumerate_extremal(
         sequences=found,
         support_ok=support_ok,
         exhaustive=result.stop_reason is None,
+        nodes_explored=result.nodes_explored,
         degenerate=k == 1,
     )
 

@@ -316,20 +316,20 @@ def test_time_limit_not_reached_changes_nothing(run):
 
 # Exit code and sha256 of the --json stdout for a fixed set of inputs;
 # any change to an answer, its field order or its exit code shows up here,
-# and so does a change to ``nodes_explored`` in cases 0-2.  Case 4's cap
-# lies below the 41,222 nodes of the complete k=3, t=60 walk, so it pins
-# an incomplete payload.
+# and so does a change to ``nodes_explored`` in cases 0-4.  Case 4's cap
+# stops the 26,020-node k=3, t=60 walk after 6 of its 10 sequences, so it
+# pins an incomplete payload.
 GOLDEN_JSON = [
     (["search-longest", "--k", "2", "--t", "6", "--ceiling", "12"], 0,
-     "be6736dbd48fa039de29b4d9240e23aca1f370d288e78aa83e0817940581f197"),
+     "5b942a6de53122e98a4119f3a8c8cf4a75eeebdf9a6f75ea540a8b70aaa2e52b"),
     (["search-longest", "--k", "3", "--t", "8", "--ceiling", "16"], 0,
-     "5ae5d80a8b9d51886ba069850b899c23a6f31e50b9fe130c2428f77dfa056ab4"),
+     "94e7827a9f52f7f8d131acb0c3e6b31d07587bac67171be219ccfdcd4a48c3cf"),
     (["search-longest", "--k", "2", "--t", "6", "--ceiling", "12", "--max-nodes", "5"], 3,
      "2025383fe8f90a5bfa8479b873706eb3484d737cad8c87fd53e0bba531dd55bc"),
     (["extremal", "--k", "2", "--t", "12"], 0,
-     "33f1695376acbc987e3c943fe598ad5d975aa4f74d732eb4cbe520057d067a90"),
-    (["extremal", "--k", "3", "--t", "60", "--max-nodes", "20000"], 3,
-     "c44d50bb6cd4adc9372bc50748474f68cceda3f4d9699e7888afda30f9c6de0e"),
+     "8046a64ff2174337dfb87344516fcfc83b161711ee102cbdf908be842797fb0f"),
+    (["extremal", "--k", "3", "--t", "60", "--max-nodes", "15000"], 3,
+     "cbc50543d57a2b9220ef7ac164363fce799bd55c7c206b9a54f78bb8a6f892d5"),
     (["check", "--seq", "2^2,1^3,-1^5,-2^1", "--t", "4"], 0,
      "7c2823b84732c37d582765fd65adce09179d87ff6eab89c89e203b2e2f065370"),
     (["check", "--seq", "1^3,-1^3", "--t", "3"], 0,

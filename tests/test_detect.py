@@ -216,6 +216,9 @@ def test_iter_zero_sum_sequences_matches_filtered_enumeration():
         assert len(found) == len(set(found))
         assert set(found) == expected
         assert all(s.length == length and s.sigma == 0 for s in found)
+        # documented order: multiplicities of k, -k, ..., 1, -1, 0 ascending
+        order = [v for a in range(k, 0, -1) for v in (a, -a)] + [0]
+        assert found == sorted(expected, key=lambda s: [s.multiplicity(v) for v in order])
 
 
 def random_sequence(rng, k, n, zero_sum):

@@ -40,6 +40,14 @@ def critical_set():
     return {BoundedSequence.from_terms(c, 2) for c in CRITICAL_2_6}
 
 
+def walk_order(s):
+    """Multiplicities in the walker's value order k, -k, ..., 1, -1, 0."""
+    k = s.bound
+    return tuple(s.multiplicity(v) for a in range(k, 0, -1) for v in (a, -a)) + (
+        s.multiplicity(0),
+    )
+
+
 def brute_force_avoiders(k, t, n):
     """Zero-sum t-avoiding multisets of length n over [-k, k], by plain enumeration."""
     found = set()
@@ -93,7 +101,7 @@ def test_longest_avoiding_node_cap():
 def test_longest_avoiding_node_cap_spans_walks():
     full = longest_avoiding(2, 12, 22)
     assert full.exhaustive and full.nodes_explored > 1000
-    # the walk at the ceiling takes 416 nodes, so this cap stops a later walk
+    # the walk at the ceiling takes 272 nodes, so this cap stops a later walk
     capped = longest_avoiding(2, 12, 22, max_nodes=1000)
     assert capped.stop_reason == "node-limit"
     assert not capped.exhaustive
@@ -132,6 +140,30 @@ def test_longest_avoiding_matches_brute_force(k, t):
     assert result.best_length == best
     assert set(result.witnesses) == brute_force_avoiders(k, t, best)
     assert len(result.witnesses) == len(set(result.witnesses))
+
+
+def test_longest_avoiding_keeps_the_first_witnesses_in_walk_order():
+    # The walker emits each leaf's mirror right after it, so the first five
+    # emitted are not the first five of a full walk.
+    result = longest_avoiding(2, 12, 13, max_witnesses=5)
+    first = sorted(brute_force_avoiders(2, 12, 13), key=walk_order)[:5]
+    assert result.witnesses == tuple(sorted(first, key=lambda s: s.terms))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_walker_leaves_are_the_avoiders_closed_under_negation(k):
+    for n in range(9):
+        for t in range(1, n + 2):
+            leaves = []
+            zsseq.detect._walk_zero_sum(k, n, leaves.append, t)
+            assert len(leaves) == len(set(leaves)), (k, n, t)
+            assert {negate(s) for s in leaves} == set(leaves), (k, n, t)
+            assert set(leaves) == brute_force_avoiders(k, t, n), (k, n, t)
+
+
+def test_extremal_k3_t60_walks_one_sign_of_each_pair():
+    # 41,222 nodes when both signs of every pair are walked
+    assert enumerate_extremal(3, 60).nodes_explored == 26_020
 
 
 def test_longest_avoiding_is_deterministic():
@@ -194,7 +226,7 @@ def test_extremal_requires_finite_constant():
 
 
 def test_extremal_k3_cap_reports_not_exhaustive():
-    # the complete walk takes 41,222 nodes
+    # the complete walk takes 26,020 nodes and has found 2 of the 10 sequences here
     report = enumerate_extremal(3, 60, max_nodes=10_000)
     assert not report.exhaustive
     for s in report.sequences:
