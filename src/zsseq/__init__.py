@@ -7,8 +7,6 @@ and generation machinery around that threshold.
 """
 
 from .constants import (
-    ConstantValue,
-    DivisibilityReport,
     davenport_subset,
     divisibility_condition,
     frobenius_number,
@@ -16,15 +14,12 @@ from .constants import (
     lcm_range,
     lemma41_margin_check,
     minimal_zero_sum_max_length,
-    prime_powers_up_to,
     s_prime_t,
     theorem11_bounds,
 )
 from .detect import (
-    DEFAULT_MEMORY_LIMIT,
     LengthSumTable,
     Spectrum,
-    Witness,
     brute_force_pairs,
     brute_force_spectrum,
     build_table,
@@ -46,22 +41,15 @@ from .errors import (
     ZsseqError,
 )
 from .reduction import (
-    BlockX,
-    ReduceStep,
-    ReductionTrace,
     append_blocks,
     build_block,
     complete_block,
     foreign_count,
-    frequent_elements,
     reduce_fixpoint,
     reduce_step,
     strip_blocks,
 )
 from .search import (
-    ExtremalReport,
-    FamilySpec,
-    SearchResult,
     enumerate_extremal,
     family_generator,
     lemma42_search,
@@ -70,7 +58,6 @@ from .search import (
 )
 from .sequences import (
     BoundedSequence,
-    SignPartition,
     concat,
     format_sequence,
     is_subsequence,
@@ -84,27 +71,16 @@ from .sequences import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockX",
     "BoundedSequence",
-    "ConstantValue",
     "CrossCheckError",
-    "DEFAULT_MEMORY_LIMIT",
-    "DivisibilityReport",
-    "ExtremalReport",
-    "FamilySpec",
     "LengthSumTable",
     "PreconditionError",
-    "ReduceStep",
-    "ReductionTrace",
     "ResourceLimitError",
-    "SearchResult",
     "SequenceBoundError",
     "SequenceOverflowError",
     "SequenceSyntaxError",
-    "SignPartition",
     "Spectrum",
     "SubsequenceError",
-    "Witness",
     "ZsseqError",
     "append_blocks",
     "brute_force_pairs",
@@ -122,7 +98,6 @@ __all__ = [
     "find_zero_sum_of_length",
     "foreign_count",
     "format_sequence",
-    "frequent_elements",
     "frobenius_number",
     "is_subsequence",
     "is_t_avoiding",
@@ -135,7 +110,6 @@ __all__ = [
     "minimal_zero_sum_max_length",
     "negate",
     "parse_sequence",
-    "prime_powers_up_to",
     "reduce_fixpoint",
     "reduce_step",
     "remove",

@@ -7,7 +7,8 @@ sorted keys; progress and error diagnostics always go to stderr.
 
 Exit status: 0 success, 1 domain error (bad values, impossible request),
 2 usage error (bad flags; argparse's own exit), 3 resource cap hit with
-an incomplete result.
+an incomplete result, 141 (128 + SIGPIPE) stdout closed before all
+output was written.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,12 +41,28 @@ from .selftest import run_all
 from .sequences import BoundedSequence, format_sequence, parse_sequence
 
 
+#: The JSON envelope's status for each exit code a command returns.
+_STATUS = {0: "ok", 1: "error", 3: "incomplete"}
+
+
 @dataclass
 class _Envelope:
     payload: dict
     human: list[str] = field(default_factory=list)
-    status: str = "ok"
     code: int = 0
+
+
+@contextmanager
+def _exact_ints():
+    """Lift Python's cap on the digits of an int rendered as text; input parsing keeps it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _show(s: BoundedSequence) -> str:
@@ -133,7 +152,8 @@ def _cmd_bounds(args: argparse.Namespace) -> _Envelope:
 
 def _cmd_divides(args: argparse.Namespace) -> _Envelope:
     report = divisibility_condition(args.k, args.t)
-    human = [f"modulus: {report.modulus}", f"holds: {_flag(report.holds)}"]
+    with _exact_ints():  # lcm(2..2k-1) has more than 4,300 digits from k = 4930
+        human = [f"modulus: {report.modulus}", f"holds: {_flag(report.holds)}"]
     if not report.holds:
         human.append(f"failing prime power: {report.failing_prime_power}")
     return _Envelope(report.to_json_dict(), human)
@@ -160,9 +180,7 @@ def _cmd_search_longest(args: argparse.Namespace) -> _Envelope:
         f"nodes_explored: {result.nodes_explored}",
     ]
     human += [f"witness: {_show(w)}" for w in result.witnesses]
-    if result.stop_reason is not None:
-        return _Envelope(result.to_json_dict(), human, status="incomplete", code=3)
-    return _Envelope(result.to_json_dict(), human)
+    return _Envelope(result.to_json_dict(), human, code=0 if result.stop_reason is None else 3)
 
 
 def _cmd_extremal(args: argparse.Namespace) -> _Envelope:
@@ -176,9 +194,7 @@ def _cmd_extremal(args: argparse.Namespace) -> _Envelope:
         f"nodes_explored: {report.nodes_explored}",
     ]
     human += [f"sequence: {_show(s)}" for s in report.sequences]
-    if not report.exhaustive:
-        return _Envelope(report.to_json_dict(), human, status="incomplete", code=3)
-    return _Envelope(report.to_json_dict(), human)
+    return _Envelope(report.to_json_dict(), human, code=0 if report.exhaustive else 3)
 
 
 def _cmd_family(args: argparse.Namespace) -> _Envelope:
@@ -279,9 +295,7 @@ def _cmd_selftest(args: argparse.Namespace) -> _Envelope:
         f"{r.name}: {'ok' if r.ok else 'FAIL'} ({r.trials} trials)" for r in results
     ]
     human.append("all suites passed" if ok else "some suites FAILED")
-    if not ok:
-        return _Envelope(payload, human, status="error", code=1)
-    return _Envelope(payload, human)
+    return _Envelope(payload, human, code=0 if ok else 1)
 
 
 # -- parser --------------------------------------------------------------
@@ -309,6 +323,10 @@ def _build_parser() -> argparse.ArgumentParser:
     block_common.add_argument("--alpha", type=_positive_int, required=True)
     block_common.add_argument("--beta", type=_positive_int, required=True)
 
+    kt_common = argparse.ArgumentParser(add_help=False)
+    kt_common.add_argument("--k", type=_positive_int, required=True)
+    kt_common.add_argument("--t", type=_positive_int, required=True)
+
     caps_common = argparse.ArgumentParser(add_help=False)
     caps_common.add_argument("--max-nodes", type=_positive_int, default=None)
     caps_common.add_argument("--time-limit", type=_finite_float, default=None, help="seconds")
@@ -330,32 +348,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("spectrum", _cmd_spectrum, "all zero-sum subsequence lengths of a sequence", [seq_common, memory_common])
 
-    p = add("constant", _cmd_constant, "the avoidance constant for (k, t)", [])
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--t", type=_positive_int, required=True)
+    add("constant", _cmd_constant, "the avoidance constant for (k, t)", [kt_common])
+    add("bounds", _cmd_bounds, "lower/upper bracket for the finite constant", [kt_common])
+    add("divides", _cmd_divides, "finiteness test: does lcm(2..max(2,2k-1)) divide t", [kt_common])
 
-    p = add("bounds", _cmd_bounds, "lower/upper bracket for the finite constant", [])
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--t", type=_positive_int, required=True)
-
-    p = add("divides", _cmd_divides, "finiteness test: does lcm(2..max(2,2k-1)) divide t", [])
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--t", type=_positive_int, required=True)
-
-    p = add("search-longest", _cmd_search_longest, "longest avoiding sequence up to a ceiling", [caps_common])
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--t", type=_positive_int, required=True)
+    p = add("search-longest", _cmd_search_longest, "longest avoiding sequence up to a ceiling", [kt_common, caps_common])
     p.add_argument("--ceiling", type=_positive_int, required=True)
     p.add_argument("--max-witnesses", type=_positive_int, default=64)
     p.add_argument("--progress", action="store_true", help="progress lines on stderr")
 
-    p = add("extremal", _cmd_extremal, "all avoiding sequences of the critical length", [caps_common])
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--t", type=_positive_int, required=True)
+    add("extremal", _cmd_extremal, "all avoiding sequences of the critical length", [kt_common, caps_common])
 
-    p = add("family", _cmd_family, "arbitrarily long avoiding sequences (infinite case)", [])
-    p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--t", type=_positive_int, required=True)
+    p = add("family", _cmd_family, "arbitrarily long avoiding sequences (infinite case)", [kt_common])
     p.add_argument("--min-length", type=_positive_int, required=True)
 
     add("reduce", _cmd_reduce, "rewrite toward block form and strip whole blocks", [seq_common, memory_common, block_common])
@@ -395,27 +399,33 @@ def main(argv: list[str] | None = None) -> int:
     try:
         envelope = args.handler(args)
     except ResourceLimitError as exc:
-        return _emit_failure(args, "incomplete", str(exc), 3)
+        return _emit_failure(args, str(exc), 3)
     except ZsseqError as exc:
-        return _emit_failure(args, "error", str(exc), 1)
-    if args.json:
-        doc = {"status": envelope.status, "payload": envelope.payload}
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        for line in envelope.human:
-            print(line)
+        return _emit_failure(args, str(exc), 1)
+    with _exact_ints():
+        if args.json:
+            doc = {"status": _STATUS[envelope.code], "payload": envelope.payload}
+            print(json.dumps(doc, sort_keys=True))
+        else:
+            for line in envelope.human:
+                print(line)
     return envelope.code
 
 
-def _emit_failure(args: argparse.Namespace, status: str, message: str, code: int) -> int:
+def _emit_failure(args: argparse.Namespace, message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     if getattr(args, "json", False):
-        print(json.dumps({"status": status, "payload": {"error": message}}, sort_keys=True))
+        print(json.dumps({"status": _STATUS[code], "payload": {"error": message}}, sort_keys=True))
     return code
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early; skip the flush at exit, which would fail again
+        os._exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -69,26 +69,6 @@ def lcm_range(lo: int, hi: int) -> int:
     return lcm(*range(lo, hi + 1))
 
 
-def prime_powers_up_to(limit: int) -> list[int]:
-    """All prime powers p^e <= limit, ascending."""
-    if limit < 2:
-        return []
-    sieve = [True] * (limit + 1)
-    sieve[0:2] = [False, False]
-    for p in range(2, limit + 1):
-        if sieve[p]:
-            for q in range(p * p, limit + 1, p):
-                sieve[q] = False
-    powers = []
-    for p in range(2, limit + 1):
-        if sieve[p]:
-            q = p
-            while q <= limit:
-                powers.append(q)
-                q *= p
-    return sorted(powers)
-
-
 def divisibility_condition(k: int, t: int) -> DivisibilityReport:
     """Does lcm(2, ..., max(2, 2k-1)) divide t?
 
@@ -102,10 +82,8 @@ def divisibility_condition(k: int, t: int) -> DivisibilityReport:
     holds = t % modulus == 0
     failing = None
     if not holds:
-        for q in prime_powers_up_to(top):
-            if t % q:
-                failing = q
-                break
+        # A prime power: if q = ab with coprime a, b > 1, then a | t and b | t give q | t.
+        failing = next(q for q in range(2, top + 1) if t % q)
     return DivisibilityReport(k, t, modulus, holds, failing)
 
 

@@ -203,6 +203,17 @@ def _add_copies(rows: list[int], value: int, w: int, cap: int, mask: int) -> Non
                 rows[j] |= src >> shift
 
 
+def _add_up_to(rows: list[int], value: int, mult: int, cap: int, mask: int) -> None:
+    """Add 0 .. min(mult, cap) copies of ``value`` in place, as binary chunks of ``_add_copies``."""
+    remaining = min(mult, cap)
+    chunk = 1
+    while remaining:
+        w = min(chunk, remaining)
+        remaining -= w
+        chunk <<= 1
+        _add_copies(rows, value, w, cap, mask)
+
+
 def estimate_table_bytes(s: BoundedSequence, max_length: int) -> int:
     width = 2 * s.bound * max_length + 1
     rows = max_length + 1
@@ -233,13 +244,7 @@ def build_table(
     rows = list(_initial_rows(c, offset))
     layers: list[ValueLayer] = []
     for value, mult in s.terms:
-        remaining = min(mult, c)
-        chunk = 1
-        while remaining:
-            w = min(chunk, remaining)
-            remaining -= w
-            chunk <<= 1
-            _add_copies(rows, value, w, c, mask)
+        _add_up_to(rows, value, mult, c, mask)
         if keep_layers:
             layers.append(ValueLayer(value, mult, tuple(rows)))
     return LengthSumTable(s, c, offset, width, tuple(rows), tuple(layers))
@@ -436,8 +441,7 @@ def _walk_zero_sum(
         if i == last:
             # The window one level up leaves one way to finish: total + left * value == 0.
             if carry:
-                for _ in range(min(left, cap)):
-                    _add_copies(rows, value, 1, cap, mask)
+                _add_up_to(rows, value, left, cap, mask)
                 if rows[cap] >> offset & 1:
                     return
             leaf = BoundedSequence.from_terms({**counts, value: left}, k)

@@ -96,30 +96,6 @@ def build_block(alpha: int, beta: int) -> BlockX:
     return BlockX(alpha, beta, g, block)
 
 
-def frequent_elements(s: BoundedSequence, n: int) -> tuple[int, int] | None:
-    """A positive value alpha and a negative value -beta, each of multiplicity
-    >= k*n/(k+1) in s (exact integer comparison), or None if either side
-    has no such candidate.  Ties prefer higher multiplicity, then larger
-    absolute value.  Returns (alpha, beta) with both entries positive.
-    """
-    if n < 0:
-        raise PreconditionError(f"n must be >= 0, got {n}")
-    k = s.bound
-    pos = [
-        (mult, value)
-        for value, mult in s.terms
-        if value > 0 and (k + 1) * mult >= k * n
-    ]
-    neg = [
-        (mult, -value)
-        for value, mult in s.terms
-        if value < 0 and (k + 1) * mult >= k * n
-    ]
-    if not pos or not neg:
-        return None
-    return (max(pos)[1], max(neg)[1])
-
-
 def append_blocks(s: BoundedSequence, x: BlockX, count: int) -> BoundedSequence:
     if count < 0:
         raise PreconditionError(f"count must be >= 0, got {count}")

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from math import gcd
 
-from .constants import divisibility_condition
+from .constants import divisibility_condition, s_prime_t
 from .detect import _walk_order_key, _walk_zero_sum, _WalkCapped, is_t_avoiding
 from .errors import CrossCheckError, PreconditionError
 from .reduction import BlockX, append_blocks, build_block
@@ -189,14 +189,12 @@ def enumerate_extremal(
     found has support within {-1, k-1, k} or within {1, -(k-1), -k}; k = 1
     collapses those sets and is flagged ``degenerate``.
     """
-    if k < 1:
-        raise PreconditionError(f"k must be >= 1, got {k}")
-    report = divisibility_condition(k, t)
-    if not report.holds:
+    constant = s_prime_t(k, t)
+    if not constant.is_finite:
         raise PreconditionError(
             f"no finite constant for k={k}, t={t}; extremal length is undefined"
         )
-    target = t + k * k - k - 1
+    target = constant.value - 1
     result = longest_avoiding(
         k, t, max(target, t), max_nodes=max_nodes, time_limit=time_limit, max_witnesses=None
     )

@@ -133,18 +133,6 @@ class BoundedSequence:
             "terms": [{"value": v, "mult": m} for v, m in self.terms],
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "BoundedSequence":
-        try:
-            bound = int(doc["k"])
-            pairs = [(int(t["value"]), int(t["mult"])) for t in doc["terms"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SequenceSyntaxError(f"malformed sequence document: {exc}") from exc
-        for _, mult in pairs:
-            if mult < 1:
-                raise SequenceSyntaxError("multiplicities in a sequence document must be >= 1")
-        return cls.from_terms(pairs, bound)
-
 
 @dataclass(frozen=True)
 class SignPartition:
@@ -164,15 +152,14 @@ def parse_sequence(text: str, bound: int | None = None) -> BoundedSequence:
             m = _TERM_RE.match(part)
             if m is None:
                 raise SequenceSyntaxError(f"bad term {part!r}")
-            value = int(m.group(1))
-            mult = 1 if m.group(2) is None else int(m.group(2))
+            try:
+                value = int(m.group(1))
+                mult = 1 if m.group(2) is None else int(m.group(2))
+            except ValueError:  # past Python's cap on the digits of one int conversion
+                raise SequenceSyntaxError(f"too many digits in term {part[:20]}...") from None
             if mult == 0:
                 raise SequenceSyntaxError(f"zero multiplicity in term {part!r}")
             acc[value] = acc.get(value, 0) + mult
-    if bound is not None:
-        for value in acc:
-            if abs(value) > bound:
-                raise SequenceBoundError(f"value {value} outside [-{bound}, {bound}]")
     return BoundedSequence.from_terms(acc, bound)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -88,6 +89,12 @@ def test_bound_enforcement_fails_cleanly(run):
     code, _, err = run("check", "--seq", "5^1,-5^1", "--k", "2", "--t", "2")
     assert code == 1
     assert "error:" in err
+
+
+def test_oversized_number_is_a_syntax_error(run):
+    code, out, err = run("check", "--seq", "1^" + "1" * 5000, "--t", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: too many digits")
 
 
 def test_domain_error_exit_code_and_envelope(run):
@@ -275,6 +282,22 @@ def test_divides_json(run):
     assert doc["payload"]["failing_prime_power"] == 5
 
 
+def test_divides_renders_a_modulus_past_the_digit_limit(run):
+    # lcm(2..9859) has more digits than Python renders as text by default.
+    code, human, _ = run("divides", "--k", "4930", "--t", "6")
+    assert code == 0
+    code, out, _ = run("divides", "--k", "4930", "--t", "6", "--json")
+    assert code == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        modulus = math.lcm(*range(2, 9860))
+        assert json.loads(out)["payload"]["modulus"] == modulus
+        assert human.splitlines()[0] == f"modulus: {modulus}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_selftest_quick(run):
     code, doc, err = run_json(run, "selftest", "--scale", "0.05", "--seed", "7")
     assert code == 0
@@ -307,6 +330,13 @@ def test_bounds_bracket_the_finite_constant(run):
     assert doc["payload"] == {"k": 4, "t": 420, "lower": 432, "upper": 450}
     code, _, err = run("bounds", "--k", "3", "--t", "24")
     assert code == 1 and err.startswith("error:")
+
+
+def test_search_progress_lines(run):
+    argv = ["--k", "3", "--t", "60", "--ceiling", "70", "--max-nodes", "70000", "--progress"]
+    code, _, err = run("search-longest", *argv)
+    assert code == 3
+    assert err == "nodes=65536 best=-1\n"
 
 
 def test_time_limit_not_reached_changes_nothing(run):
@@ -398,3 +428,27 @@ def test_cli_module_entry_exit_codes(tmp_path):
     proc = run_module("spectrum", "--seq-file", str(tmp_path / "absent.txt"))
     assert proc.returncode == 1
     assert "error:" in proc.stderr
+
+
+def test_closed_stdout_exits_quietly():
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("no way to shrink a pipe here")
+    # The answer is about 6.6 kB; a one-page pipe makes the writer wait
+    # for the reader, which takes one line and closes its end.
+    src = Path(zsseq.__file__).resolve().parent.parent
+    argv = ["search-longest", "--k", "3", "--t", "7", "--ceiling", "40", "--max-witnesses", "100000"]
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zsseq.cli", *argv],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    os.close(write_end)
+    with open(read_end, "rb", buffering=0) as reader:
+        assert reader.readline() == b"best_length: 40\n"
+    _, err = proc.communicate(timeout=60)
+    assert b"Traceback" not in err
+    assert proc.returncode == 141

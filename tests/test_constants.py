@@ -14,7 +14,6 @@ from zsseq import (
     lcm_range,
     lemma41_margin_check,
     minimal_zero_sum_max_length,
-    prime_powers_up_to,
     s_prime_t,
     theorem11_bounds,
 )
@@ -26,14 +25,6 @@ from zsseq import (
 )
 def test_lcm_range(lo, hi, expected):
     assert lcm_range(lo, hi) == expected
-
-
-def test_prime_powers():
-    assert prime_powers_up_to(10) == [2, 3, 4, 5, 7, 8, 9]
-    assert prime_powers_up_to(1) == []
-    assert prime_powers_up_to(2) == [2]
-    assert 6 not in prime_powers_up_to(30)
-    assert 27 in prime_powers_up_to(30)
 
 
 @pytest.mark.parametrize(
@@ -74,7 +65,11 @@ def test_failing_prime_power_is_smallest(k, t):
     else:
         q = report.failing_prime_power
         assert t % q != 0
-        assert all(t % p == 0 for p in prime_powers_up_to(q - 1))
+        assert all(t % p == 0 for p in range(2, q))
+        p = next(d for d in range(2, q + 1) if q % d == 0)  # least prime factor
+        while q % p == 0:
+            q //= p
+        assert q == 1
 
 
 @pytest.mark.parametrize(

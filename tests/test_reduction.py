@@ -1,4 +1,4 @@
-"""Block machinery: frequent elements, rewriting, stripping, padding."""
+"""Block machinery: rewriting, stripping, padding."""
 
 import random
 
@@ -12,7 +12,6 @@ from zsseq import (
     build_table,
     complete_block,
     foreign_count,
-    frequent_elements,
     is_subsequence,
     is_t_avoiding,
     parse_sequence,
@@ -45,22 +44,6 @@ def test_build_block_requires_positive_parameters():
         build_block(0, 2)
     with pytest.raises(PreconditionError):
         build_block(2, -1)
-
-
-def test_frequent_elements_picks_both_sides():
-    s = parse_sequence("2^6,1^2,-1^7,-2^1")
-    assert frequent_elements(s, 6) == (2, 1)  # needs mult >= 4 at k=2, n=6
-    assert frequent_elements(s, 12) is None  # needs mult >= 8; nobody qualifies
-
-
-def test_frequent_elements_breaks_ties_toward_larger_values():
-    s = parse_sequence("2^5,1^5,-1^5,-2^5")
-    assert frequent_elements(s, 0) == (2, 2)
-
-
-def test_frequent_elements_requires_both_signs():
-    assert frequent_elements(parse_sequence("1^9"), 2) is None
-    assert frequent_elements(parse_sequence("0^4"), 0) is None
 
 
 def test_foreign_count():

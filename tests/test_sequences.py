@@ -44,7 +44,9 @@ def test_parse_examples(text, terms):
     assert parse_sequence(text).terms == terms
 
 
-@pytest.mark.parametrize("text", ["1^0", "^2", "1^", "a", "1;2", "1,,2", "2^-1", "1^+2"])
+@pytest.mark.parametrize(
+    "text", ["1^0", "^2", "1^", "a", "1;2", "1,,2", "2^-1", "1^+2", "1^" + "1" * 5000, "9" * 5000]
+)
 def test_parse_rejects_bad_terms(text):
     with pytest.raises(SequenceSyntaxError):
         parse_sequence(text)
@@ -66,12 +68,6 @@ def test_bound_is_inferred_from_content():
 def test_text_round_trip(terms):
     s = seq_of(terms)
     assert parse_sequence(format_sequence(s), bound=s.bound) == s
-
-
-@given(term_dicts)
-def test_json_round_trip(terms):
-    s = seq_of(terms)
-    assert BoundedSequence.from_json_dict(s.to_json_dict()) == s
 
 
 def test_json_dict_shape():
