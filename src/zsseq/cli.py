@@ -38,7 +38,7 @@ from .errors import PreconditionError, ResourceLimitError, ZsseqError
 from .reduction import build_block, complete_block, reduce_fixpoint, strip_blocks
 from .search import enumerate_extremal, family_generator, lemma42_search, longest_avoiding
 from .selftest import run_all
-from .sequences import BoundedSequence, format_sequence, parse_sequence
+from .sequences import BoundedSequence, format_sequence, parse_integers, parse_sequence
 
 
 #: The JSON envelope's status for each exit code a command returns.
@@ -243,11 +243,7 @@ def _cmd_complete_block(args: argparse.Namespace) -> _Envelope:
 
 
 def _cmd_davenport(args: argparse.Namespace) -> _Envelope:
-    try:
-        values = [int(part) for part in args.values.split(",") if part.strip() != ""]
-    except ValueError:
-        raise PreconditionError(f"values must be comma-separated integers, got {args.values!r}")
-    block = davenport_subset(values, args.modulus)
+    block = davenport_subset(parse_integers(args.values), args.modulus)
     payload = {"modulus": args.modulus, "block": block, "sum": sum(block)}
     return _Envelope(payload, ["block: " + ",".join(map(str, block))])
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .detect import iter_zero_sum_sequences, spectrum
@@ -42,9 +43,13 @@ class DivisibilityReport:
 
     k: int
     t: int
-    modulus: int
     holds: bool
     failing_prime_power: int | None
+
+    @cached_property
+    def modulus(self) -> int:
+        # lcm(2..2k-1) has about 0.87k digits; only a rendered report needs it.
+        return lcm_range(2, max(2, 2 * self.k - 1))
 
     def to_json_dict(self) -> dict:
         return {
@@ -77,14 +82,14 @@ def divisibility_condition(k: int, t: int) -> DivisibilityReport:
     """
     _check_positive("k", k)
     _check_positive("t", t)
-    top = max(2, 2 * k - 1)
-    modulus = lcm_range(2, top)
-    holds = t % modulus == 0
-    failing = None
-    if not holds:
-        # A prime power: if q = ab with coprime a, b > 1, then a | t and b | t give q | t.
-        failing = next(q for q in range(2, top + 1) if t % q)
-    return DivisibilityReport(k, t, modulus, holds, failing)
+    # The lcm divides t exactly when every q <= top does, that is when the
+    # least non-divisor q of t exceeds top.  That q is a prime power: if
+    # q = ab with coprime a, b > 1, then a | t and b | t give q | t.
+    q = 2
+    while t % q == 0:
+        q += 1
+    holds = q > max(2, 2 * k - 1)
+    return DivisibilityReport(k, t, holds, None if holds else q)
 
 
 def s_prime_t(k: int, t: int) -> ConstantValue:
@@ -138,7 +143,14 @@ def lcm_growth_check(k: int) -> bool:
     """Exact check that lcm(2, ..., 2k-1) >= 4k^4 (defined for k >= 2)."""
     if k < 2:
         raise PreconditionError(f"k must be >= 2, got {k}")
-    return lcm_range(2, 2 * k - 1) >= 4 * k**4
+    # The running lcm never decreases, so the first prefix to reach 4k^4 decides.
+    target = 4 * k**4
+    running = 1
+    for i in range(2, 2 * k):
+        running = lcm(running, i)
+        if running >= target:
+            return True
+    return False
 
 
 def lemma41_margin_check(t: int = 420, n: int = 29) -> bool:

@@ -19,7 +19,10 @@ exists iff T - {f} is a subsequence of s - {f} of length j|X| - 1 summing
 to -f, which is a single kernel query per (j, f) pair, answered from the
 shorter of the lengths j|X| - 1 and |s| - j|X|.  Smallest j wins,
 then smallest f, then the kernel's deterministic witness, so rewrites are
-reproducible.
+reproducible.  Most rewrites succeed at j = 1, so each s - {f} is first
+tabled at height min(|X| - 1, |s| - |X|) only; when no f qualifies there,
+each is tabled once more at the largest height any j >= 2 needs.  Witnesses
+do not depend on the table height, so neither does the rewrite.
 """
 
 from __future__ import annotations
@@ -125,28 +128,47 @@ def reduce_step(
     if not foreign_values:
         return None
     block_len = x.length
-    max_j = s.length // block_len
+    n = s.length
+    max_j = n // block_len
     if max_j < 1:
         return None
     # T - {f} is a subsequence of s - {f} (length n - 1) of length j|X| - 1,
     # which a table answers from its short side, min(j|X| - 1, n - j|X|).
-    cap = max(min(j * block_len - 1, s.length - j * block_len) for j in range(1, max_j + 1))
-    tables = {}
-    for j in range(1, max_j + 1):
-        t_len = j * block_len - 1
-        for f in foreign_values:
-            if f not in tables:
-                one_f = BoundedSequence.from_terms({f: 1}, s.bound)
-                tables[f] = build_table(remove(s, one_f), cap, memory_limit=memory_limit)
-            table = tables[f]
-            if table.reachable(t_len, -f):
-                rest = table.witness(t_len, -f)
-                if rest is None:  # pragma: no cover - reachable states have witnesses
-                    raise CrossCheckError(f"no witness for reachable ({t_len}, {-f})")
-                removed = concat(rest, BoundedSequence.from_terms({f: 1}, s.bound))
-                result = concat(remove(s, removed), repeat(x.block, j))
-                return ReduceStep(result, removed, j)
+    # Most steps succeed at j = 1, so tables start at that height; the
+    # later j share one rebuild at the largest height any of them needs.
+    for js in (range(1, 2), range(2, max_j + 1)):
+        if not js:
+            break
+        cap = max(min(j * block_len - 1, n - j * block_len) for j in js)
+        tables = {}
+        for j in js:
+            for f in foreign_values:
+                if f not in tables:
+                    tables[f] = build_table(_without_one(s, f), cap, memory_limit=memory_limit)
+                rest = tables[f].witness(j * block_len - 1, -f)
+                if rest is not None:
+                    return _rewrite(s, x, j, f, rest)
     return None
+
+
+def _without_one(s: BoundedSequence, f: int) -> BoundedSequence:
+    """s - {f}, for a value f that s contains."""
+    return BoundedSequence(
+        s.bound, tuple((v, m - (v == f)) for v, m in s.terms if v != f or m > 1)
+    )
+
+
+def _rewrite(s: BoundedSequence, x: BlockX, j: int, f: int, rest: BoundedSequence) -> ReduceStep:
+    """The step that removes T = rest + {f} from s and inserts j blocks."""
+    piece = rest.as_dict()
+    piece[f] = piece.get(f, 0) + 1
+    counts = dict(s.terms)
+    for value, mult in piece.items():
+        counts[value] -= mult
+    for value, mult in x.block.terms:
+        counts[value] = counts.get(value, 0) + j * mult
+    removed = BoundedSequence.from_terms(piece, s.bound)
+    return ReduceStep(BoundedSequence.from_terms(counts, max(s.bound, x.block.bound)), removed, j)
 
 
 def reduce_fixpoint(

@@ -14,8 +14,8 @@ zero-multiplicity entries are never stored.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .errors import (
     SequenceBoundError,
@@ -29,6 +29,7 @@ from .errors import (
 LENGTH_LIMIT = 2**63 - 1
 
 _TERM_RE = re.compile(r"^([+-]?\d+)(?:\^(\d+))?$")
+_INT_RE = re.compile(r"^[+-]?\d+$")
 
 
 @dataclass(frozen=True)
@@ -152,15 +153,30 @@ def parse_sequence(text: str, bound: int | None = None) -> BoundedSequence:
             m = _TERM_RE.match(part)
             if m is None:
                 raise SequenceSyntaxError(f"bad term {part!r}")
-            try:
-                value = int(m.group(1))
-                mult = 1 if m.group(2) is None else int(m.group(2))
-            except ValueError:  # past Python's cap on the digits of one int conversion
-                raise SequenceSyntaxError(f"too many digits in term {part[:20]}...") from None
+            value = _int(m.group(1), part)
+            mult = 1 if m.group(2) is None else _int(m.group(2), part)
             if mult == 0:
                 raise SequenceSyntaxError(f"zero multiplicity in term {part!r}")
             acc[value] = acc.get(value, 0) + mult
     return BoundedSequence.from_terms(acc, bound)
+
+
+def parse_integers(text: str) -> list[int]:
+    """Comma-separated integers in their given order; whitespace and empty parts are ignored."""
+    values = []
+    for part in re.sub(r"\s+", "", text).split(","):
+        if part:
+            if _INT_RE.match(part) is None:
+                raise SequenceSyntaxError(f"bad term {part!r}")
+            values.append(_int(part, part))
+    return values
+
+
+def _int(digits: str, part: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past Python's cap on the digits of one int conversion
+        raise SequenceSyntaxError(f"too many digits in term {part[:20]}...") from None
 
 
 def format_sequence(s: BoundedSequence) -> str:

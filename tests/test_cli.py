@@ -221,6 +221,17 @@ def test_reduce_human_lines(run):
     ]
 
 
+def test_reduce_tables_fit_the_block_multiple(run):
+    # The j = 1 rewrite needs tables of height 1; a table tall enough for
+    # every j would be estimated at 119,796 bytes, over the cap.
+    code, out, _ = run(
+        "reduce", "--seq", "2^1,-2^1,1^200,-1^200", "--alpha", "1", "--beta", "1",
+        "--memory-limit", "10000",
+    )
+    assert code == 0
+    assert out.splitlines()[:2] == ["steps: 1", "fixpoint: -1^201,1^201"]
+
+
 def test_strip_human_lines(run):
     code, out, _ = run(
         "strip", "--seq", "3^2,-2^3,1^1,-1^1", "--alpha", "3", "--beta", "2"
@@ -244,6 +255,17 @@ def test_davenport_json(run):
 def test_davenport_too_few_values(run):
     code, _, err = run("davenport", "--values", "1,2", "--modulus", "5")
     assert code == 1 and "error:" in err
+
+
+def test_davenport_oversized_value_names_it_truncated(run):
+    code, out, err = run("davenport", "--values", "9" * 5000 + ",1", "--modulus", "2")
+    assert code == 1 and out == ""
+    assert err == "error: too many digits in term 99999999999999999999...\n"
+
+
+def test_davenport_rejects_a_non_integer(run):
+    code, _, err = run("davenport", "--values", "1, x,2", "--modulus", "2")
+    assert code == 1 and err == "error: bad term 'x'\n"
 
 
 def test_frobenius_value(run):

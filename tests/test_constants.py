@@ -1,5 +1,6 @@
 """Constants, divisibility, and the small number-theory utilities."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from zsseq import (
     PreconditionError,
     davenport_subset,
     divisibility_condition,
+    enumerate_extremal,
     frobenius_number,
     lcm_growth_check,
     lcm_range,
@@ -17,6 +19,7 @@ from zsseq import (
     s_prime_t,
     theorem11_bounds,
 )
+from zsseq import constants
 
 
 @pytest.mark.parametrize(
@@ -160,6 +163,35 @@ def test_frobenius_boundary_is_sharp(a):
 @pytest.mark.parametrize("k,expected", [(2, False), (3, False), (4, False), (5, True), (6, True), (7, True), (8, True), (9, True)])
 def test_lcm_growth(k, expected):
     assert lcm_growth_check(k) is expected
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_lcm_growth_stops_early_with_the_full_products_answer(k):
+    assert lcm_growth_check(k) is (math.lcm(*range(2, 2 * k)) >= 4 * k**4)
+
+
+def test_divisibility_matches_the_lcm_definition():
+    for k in range(1, 7):
+        top = max(2, 2 * k - 1)
+        modulus = lcm_range(2, top)
+        for t in range(1, 2 * modulus + 2):
+            report = divisibility_condition(k, t)
+            assert report.holds is (t % modulus == 0)
+            if not report.holds:
+                assert report.failing_prime_power == min(q for q in range(2, top + 1) if t % q)
+
+
+def test_finiteness_callers_never_build_the_modulus(monkeypatch):
+    def refuse(lo, hi):
+        raise AssertionError(f"lcm_range({lo}, {hi}) was called")
+
+    monkeypatch.setattr(constants, "lcm_range", refuse)
+    assert s_prime_t(50_000, 6).value is None
+    assert s_prime_t(2, 6).value == 8
+    assert theorem11_bounds(3, 60) == (66, 72)
+    assert len(enumerate_extremal(2, 6).sequences) == 6
+    with pytest.raises(AssertionError):
+        divisibility_condition(2, 6).modulus
 
 
 def test_lcm_growth_needs_k_at_least_two():

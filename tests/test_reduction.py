@@ -19,6 +19,7 @@ from zsseq import (
     reduce_step,
     strip_blocks,
 )
+from zsseq import reduction
 from zsseq.sequences import BoundedSequence, concat, remove, repeat
 
 
@@ -137,6 +138,13 @@ def test_reduce_step_matches_the_full_cap_reference():
     # The short-side tables must pick the same j, f and witness as tables
     # tall enough to answer every j|X| - 1 directly.  Half the sequences are
     # shorter than 2|X| - 1, so j = 1 is answered through the complement.
+    def steps_like_the_reference(s, x):
+        step = reduce_step(s, x)
+        expected = full_cap_reduce_step(s, x)
+        got = None if step is None else (step.result, step.removed, step.inserted_copies)
+        assert got == expected, (s, x.alpha, x.beta)
+        return None if step is None else step.inserted_copies
+
     rng = random.Random(11)
     stepped = 0
     for trial in range(200):
@@ -144,12 +152,53 @@ def test_reduce_step_matches_the_full_cap_reference():
         x = build_block(rng.randint(1, k), rng.randint(1, k))
         n = rng.randint(0, 40) if trial % 2 else rng.randint(x.length, 2 * x.length - 2)
         s = BoundedSequence.from_elements([rng.randint(-k, k) for _ in range(n)], bound=k)
-        step = reduce_step(s, x)
-        expected = full_cap_reduce_step(s, x)
-        got = None if step is None else (step.result, step.removed, step.inserted_copies)
-        assert got == expected, (s, x.alpha, x.beta)
-        stepped += step is not None
+        stepped += steps_like_the_reference(s, x) is not None
     assert stepped > 80
+
+    # Block values plus one foreign f = b*beta - a*alpha with a + b = j0|X| - 1
+    # for j0 in {2, 3}: f may be too far from zero for |X| - 1 block values
+    # to cancel, so the j = 1 tables miss and the rebuilt ones must answer.
+    later = 0
+    for _ in range(100):
+        x = build_block(rng.randint(1, 3), rng.randint(1, 3))
+        piece = rng.randint(2, 3) * x.length - 1
+        a = rng.randint(0, piece)
+        b = piece - a
+        f = b * x.beta - a * x.alpha
+        counts = {x.alpha: a + rng.randint(0, 2), -x.beta: b + rng.randint(0, 2)}
+        counts[f] = counts.get(f, 0) + 1
+        j = steps_like_the_reference(BoundedSequence.from_terms(counts), x)
+        later += j is not None and j >= 2
+    assert later > 30
+
+
+def test_reduce_step_tables_start_at_the_height_of_one_block(monkeypatch):
+    heights = []
+    real = reduction.build_table
+
+    def recording(seq, max_length, *args, **kwargs):
+        heights.append(max_length)
+        return real(seq, max_length, *args, **kwargs)
+
+    monkeypatch.setattr(reduction, "build_table", recording)
+    # j = 1: -2 cancels 2 alone, so the table needs height
+    # min(|X| - 1, n - |X|) = 1, not the 200 that j = 101 needs.
+    step = reduce_step(parse_sequence("2^1,-2^1,1^200,-1^200"), build_block(1, 1))
+    assert step is not None and step.inserted_copies == 1
+    assert heights == [1]
+
+    # j = 1 fails for the one foreign value 3, so its table is rebuilt once,
+    # at max over j = 2..6 of min(2j - 1, 12 - 2j) = 5.
+    heights.clear()
+    step = reduce_step(parse_sequence("3^1,1^4,-1^7"), build_block(1, 1))
+    assert step is not None and step.inserted_copies == 2
+    assert heights == [1, 5]
+
+    # |X| = 5 for X = 3^2 . (-2)^3; f = -1 is cancelled by 3, 1, -1, -2.
+    heights.clear()
+    step = reduce_step(parse_sequence("3^1,1^4,-1^6,-2^1"), build_block(3, 2))
+    assert step is not None and step.inserted_copies == 1
+    assert heights == [min(5 - 1, 12 - 5)]
 
 
 def test_reduce_fixpoint_trace_replays():

@@ -18,6 +18,7 @@ from zsseq import (
     repeat,
     sign_partition,
 )
+from zsseq.sequences import parse_integers
 
 term_dicts = st.dictionaries(
     st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=40), max_size=8
@@ -50,6 +51,17 @@ def test_parse_examples(text, terms):
 def test_parse_rejects_bad_terms(text):
     with pytest.raises(SequenceSyntaxError):
         parse_sequence(text)
+
+
+def test_parse_integers_keeps_order():
+    assert parse_integers(" 3, -1 ,+5,,7,") == [3, -1, 5, 7]
+    assert parse_integers("") == []
+
+
+@pytest.mark.parametrize("text", ["1,x", "1^2", "1_0", "2.5", "9" * 5000])
+def test_parse_integers_rejects_bad_terms(text):
+    with pytest.raises(SequenceSyntaxError):
+        parse_integers(text)
 
 
 def test_parse_enforces_given_bound():
