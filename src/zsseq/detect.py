@@ -5,10 +5,17 @@ zero?" (and more generally, which (length, sum) pairs are achievable) by a
 layered dynamic program over the distinct values of s:
 
 * State space: pairs (j, sigma) with 0 <= j <= c (the table height) and
-  |sigma| <= bound * c.  Each row j is one Python int used as a bitset over
-  sums, with bit position sigma + offset where offset = bound * c.  Any
-  subsequence of length j has |sum| <= bound * j <= offset, so the window
-  never loses genuine states.
+  |sigma| <= bound * c.  All rows are packed into one Python int: row j
+  starts at bit j * stride, and (j, sigma) is bit j * stride + sigma +
+  offset, where offset = bound * c, width = 2 * offset + 1 and stride =
+  width + bound.  Any subsequence of length j has |sum| <= bound * j <=
+  offset, so the window never loses genuine states.
+
+* The bound pad bits on top of each row keep rows apart.  A state pushed
+  past row c with a negative sum borrows into row c's pad, never into its
+  window, and the next shift carries it past the mask; without the pad it
+  would land in row c's window as a false state.  Rows below c never get
+  a pad bit, and no query reads one.
 
 * Complement queries: for any multiset s of length n, removing a
   subsequence of length j and sum sigma leaves one of length n - j and sum
@@ -20,18 +27,19 @@ layered dynamic program over the distinct values of s:
 
 * Values are processed in ascending order.  Adding up to m copies of a
   value v uses the binary (power-of-two) decomposition of min(m, c): each
-  chunk of w copies is a take-or-leave item applied with descending row
-  index, which reaches exactly the copy counts 0..min(m, c).
+  chunk of w copies is a take-or-leave item, one shift of the whole int
+  by w * (stride + v) (w rows up, sum up by w * v), or-ed in and masked to
+  rows 0..c.  The chunks reach exactly the copy counts 0..min(m, c).
 
-* After each distinct value the full row block is retained as a layer, so
-  a witness can be recovered by walking layers backwards.  At each layer
-  the smallest feasible copy count is chosen, which makes witnesses
+* After each distinct value the packed int is retained as a snapshot, so
+  a witness can be recovered by walking snapshots backwards.  At each
+  value the smallest feasible copy count is chosen, which makes witnesses
   deterministic across runs and platforms.  A length above c is recovered
   by walking its complement target with the largest feasible count first
   and keeping the copies left over: the same multiset a table of full
   height would give.
 
-The memory footprint is estimated up-front from (layers x rows x window
+The memory footprint is estimated up-front from (snapshots x rows x window
 bits); if it would exceed the configured cap the build is refused with
 :class:`~zsseq.errors.ResourceLimitError` rather than degrading.
 
@@ -41,15 +49,16 @@ path; tests and ``selftest`` compare the two routes.
 
 Every exhaustive walk over zero-sum multisets in [-k, k] goes through one
 walker, :func:`_walk_zero_sum`, whose leaves are the multisets that avoid
-a length t.  The searches in :mod:`zsseq.search` carry the kernel rows
-along a branch to test that; the enumeration here asks for t = length + 1,
-which needs no rows and makes every zero-sum multiset a leaf.
+a length t.  The searches in :mod:`zsseq.search` carry the packed kernel
+rows along a branch to test that; the enumeration here asks for
+t = length + 1, which needs no rows and makes every zero-sum multiset a
+leaf.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
 
@@ -59,14 +68,14 @@ from .sequences import BoundedSequence, negate
 #: Default cap on the estimated table payload, in bytes (1 GiB).
 DEFAULT_MEMORY_LIMIT = 1 << 30
 
-# Rough per-row object overhead used in the estimate; Python ints are not
-# flat words, so the payload-only figure would undercount.
+# Rough per-row allowance used in the estimate; Python ints are not flat
+# words, and each packed row also carries its pad bits.
 _ROW_OVERHEAD = 48
 
 
 @dataclass(frozen=True)
 class ValueLayer:
-    """Snapshot of all rows after one distinct value has been processed."""
+    """Decoded view of the rows after one distinct value has been processed."""
 
     value: int
     mult: int
@@ -95,26 +104,48 @@ class Spectrum:
 class LengthSumTable:
     """Reachability table for (length, sum) pairs over subsequences of ``source``.
 
-    ``rows[j]`` has bit (sigma + offset) set iff some subsequence of the
-    whole source has length j and sum sigma, for j <= ``max_length``;
-    longer lengths down to n - ``max_length`` are answered through the
-    complement, using ``source_sigma`` = sigma(source).  ``layers`` holds
-    the same row block after each distinct value (needed for witness
-    recovery); it is empty when the table was built with
-    ``keep_layers=False``.
+    ``packed`` holds rows 0..``max_length`` in one int: bit
+    j * ``stride`` + sigma + ``offset`` is set iff some subsequence of the
+    whole source has length j and sum sigma.  Each row is ``width`` window
+    bits plus ``stride - width`` = bound pad bits, which only row
+    ``max_length`` can have set and no query reads.  Longer lengths down to
+    n - ``max_length`` are answered through the complement, using
+    ``source_sigma`` = sigma(source).  ``snapshots`` holds the packed int
+    after each distinct value (needed for witness recovery); it is empty
+    when the table was built with ``keep_layers=False``.  ``rows`` and
+    ``layers`` decode the same data one row per int, on first use.
     """
 
     source: BoundedSequence
     max_length: int
     offset: int
     width: int
-    rows: tuple[int, ...]
-    layers: tuple[ValueLayer, ...]
+    stride: int
+    # Left out of repr: a packed int past 4,300 digits cannot be printed.
+    packed: int = field(repr=False)
+    snapshots: tuple[int, ...] = field(repr=False)
 
     @cached_property
     def source_sigma(self) -> int:
         # Only complement queries need it; most tables never ask.
         return self.source.sigma
+
+    def _unpack(self, packed: int) -> tuple[int, ...]:
+        window = (1 << self.width) - 1
+        return tuple(packed >> j * self.stride & window for j in range(self.max_length + 1))
+
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """``rows[j]`` has bit sigma + offset set iff (j, sigma) is reachable, j <= max_length."""
+        return self._unpack(self.packed)
+
+    @cached_property
+    def layers(self) -> tuple[ValueLayer, ...]:
+        """The rows after each distinct value, decoded from ``snapshots``."""
+        return tuple(
+            ValueLayer(value, mult, self._unpack(packed))
+            for (value, mult), packed in zip(self.source.terms, self.snapshots)
+        )
 
     def reachable(self, length: int, total: int = 0) -> bool:
         if length > self.max_length:
@@ -124,51 +155,55 @@ class LengthSumTable:
         pos = total + self.offset
         if not 0 <= pos < self.width:
             return False
-        return bool(self.rows[length] >> pos & 1)
+        return bool(self.packed >> length * self.stride + pos & 1)
 
     def achievable_pairs(self) -> Iterator[tuple[int, int]]:
         """All reachable (length, sum) pairs with length <= max_length, in (length, sum) order."""
+        offset = self.offset
         for j, row in enumerate(self.rows):
-            sigma = -self.offset
             while row:
-                if row & 1:
-                    yield (j, sigma)
-                row >>= 1
-                sigma += 1
+                low = row & -row
+                yield (j, low.bit_length() - 1 - offset)
+                row ^= low
 
     def zero_sum_lengths(self) -> frozenset[int]:
-        return frozenset(j for j in range(self.max_length + 1) if self.rows[j] >> self.offset & 1)
+        # One linear conversion, then a byte lookup per row: shifting the
+        # whole int once per row would cost rows x size.
+        data = self.packed.to_bytes(((self.max_length + 1) * self.stride + 7) // 8, "little")
+        zero_bits = range(self.offset, (self.max_length + 1) * self.stride, self.stride)
+        return frozenset(j for j, pos in enumerate(zero_bits) if data[pos >> 3] >> (pos & 7) & 1)
 
     def witness(self, length: int, total: int = 0) -> BoundedSequence | None:
         """Recover one subsequence achieving (length, total), or None.
 
-        Walks the retained layers backwards, taking the smallest feasible
-        copy count of each value, which makes the result deterministic.
-        A length above ``max_length`` walks the complement target with the
+        Walks the snapshots backwards, taking the smallest feasible copy
+        count of each value, which makes the result deterministic.  A
+        length above ``max_length`` walks the complement target with the
         largest feasible count first and keeps the copies left over, which
         is the multiset the smallest-first walk of a taller table returns.
         """
         if not self.reachable(length, total):
             return None
-        if len(self.layers) != len(self.source.terms):
+        if len(self.snapshots) != len(self.source.terms):
             raise PreconditionError("table was built without layers; witnesses unavailable")
         mirrored = length > self.max_length
         if mirrored:
             length, total = self.source.length - length, self.source_sigma - total
         counts: dict[int, int] = {}
         j, sigma = length, total
-        for i in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[i]
-            prev = self.layers[i - 1].rows if i else _initial_rows(self.max_length, self.offset)
-            tries = range(min(layer.mult, j) + 1)
+        terms = self.source.terms
+        for i in range(len(terms) - 1, -1, -1):
+            value, mult = terms[i]
+            prev = self.snapshots[i - 1] if i else 1 << self.offset
+            tries = range(min(mult, j) + 1)
             for copies in reversed(tries) if mirrored else tries:
-                pos = sigma - copies * layer.value + self.offset
-                if 0 <= pos < self.width and prev[j - copies] >> pos & 1:
-                    kept = layer.mult - copies if mirrored else copies
+                pos = sigma - copies * value + self.offset
+                if 0 <= pos < self.width and prev >> (j - copies) * self.stride + pos & 1:
+                    kept = mult - copies if mirrored else copies
                     if kept:
-                        counts[layer.value] = kept
+                        counts[value] = kept
                     j -= copies
-                    sigma -= copies * layer.value
+                    sigma -= copies * value
                     break
             else:  # pragma: no cover - impossible if the table is consistent
                 raise CrossCheckError("witness backtracking lost a reachable state")
@@ -177,41 +212,21 @@ class LengthSumTable:
         return BoundedSequence.from_terms(counts, self.source.bound)
 
 
-def _initial_rows(max_length: int, offset: int) -> tuple[int, ...]:
-    rows = [0] * (max_length + 1)
-    rows[0] = 1 << offset
-    return tuple(rows)
+def _add_up_to(packed: int, value: int, mult: int, cap: int, stride: int, mask: int) -> int:
+    """``packed`` with 0 .. min(mult, cap) copies of ``value`` added.
 
-
-def _add_copies(rows: list[int], value: int, w: int, cap: int, mask: int) -> None:
-    """Add ``w`` copies of ``value`` as one take-or-leave item, in place.
-
-    ``rows[j]`` gains ``rows[j - w]`` shifted by ``w * value`` for every
-    j = cap .. w; descending j keeps each row's source from this same step.
+    Each binary chunk of w copies is one take-or-leave item: the whole
+    table shifted w rows up and w * value along the sums, or-ed in and
+    masked to rows 0..cap.
     """
-    shift = w * value
-    if shift >= 0:
-        for j in range(cap, w - 1, -1):
-            src = rows[j - w]
-            if src:
-                rows[j] = (rows[j] | (src << shift)) & mask
-    else:
-        shift = -shift
-        for j in range(cap, w - 1, -1):
-            src = rows[j - w]
-            if src:
-                rows[j] |= src >> shift
-
-
-def _add_up_to(rows: list[int], value: int, mult: int, cap: int, mask: int) -> None:
-    """Add 0 .. min(mult, cap) copies of ``value`` in place, as binary chunks of ``_add_copies``."""
     remaining = min(mult, cap)
     chunk = 1
     while remaining:
         w = min(chunk, remaining)
         remaining -= w
         chunk <<= 1
-        _add_copies(rows, value, w, cap, mask)
+        packed |= packed << w * (stride + value) & mask
+    return packed
 
 
 def estimate_table_bytes(s: BoundedSequence, max_length: int) -> int:
@@ -240,14 +255,15 @@ def build_table(
     c = max_length
     offset = s.bound * c
     width = 2 * offset + 1
-    mask = (1 << width) - 1
-    rows = list(_initial_rows(c, offset))
-    layers: list[ValueLayer] = []
+    stride = width + s.bound
+    mask = (1 << (c + 1) * stride) - 1
+    packed = 1 << offset
+    snapshots: list[int] = []
     for value, mult in s.terms:
-        _add_up_to(rows, value, mult, c, mask)
+        packed = _add_up_to(packed, value, mult, c, stride, mask)
         if keep_layers:
-            layers.append(ValueLayer(value, mult, tuple(rows)))
-    return LengthSumTable(s, c, offset, width, tuple(rows), tuple(layers))
+            snapshots.append(packed)
+    return LengthSumTable(s, c, offset, width, stride, packed, tuple(snapshots))
 
 
 def find_zero_sum_of_length(
@@ -399,8 +415,9 @@ def _walk_zero_sum(
     remaining length and cancel the partial sum.  The rest of a zero-sum
     multiset after a zero-sum piece is zero-sum, so it avoids t exactly
     when it avoids length - t: the kernel rows are carried only for
-    lengths <= min(t, length - t), extended one copy at a time along the
-    branch, which is cut the moment it contains a zero-sum of that length.
+    lengths <= min(t, length - t), as one packed int extended one copy at
+    a time along the branch (a node rebinds it, so nothing is copied), and
+    the branch is cut the moment it contains a zero-sum of that length.
     With length < t no rows are needed and every zero-sum multiset is a
     leaf.
 
@@ -420,11 +437,13 @@ def _walk_zero_sum(
     if carry:
         cap = min(t, length - t)
         offset = k * cap
-        mask = (1 << (2 * offset + 1)) - 1
+        stride = 2 * offset + 1 + k
+        mask = (1 << (cap + 1) * stride) - 1
+        zero_at_cap = cap * stride + offset
 
     counts: dict[int, int] = {}
 
-    def descend(i: int, filled: int, total: int, rows, tied: bool) -> None:
+    def descend(i: int, filled: int, total: int, packed: int, tied: bool) -> None:
         nonlocal nodes
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
@@ -436,13 +455,11 @@ def _walk_zero_sum(
             progress(nodes)
         value = order[i]
         left = length - filled
-        if carry:
-            rows = list(rows)
         if i == last:
             # The window one level up leaves one way to finish: total + left * value == 0.
             if carry:
-                _add_up_to(rows, value, left, cap, mask)
-                if rows[cap] >> offset & 1:
+                packed = _add_up_to(packed, value, left, cap, stride, mask)
+                if packed >> zero_at_cap & 1:
                     return
             leaf = BoundedSequence.from_terms({**counts, value: left}, k)
             on_leaf(leaf)
@@ -454,11 +471,13 @@ def _walk_zero_sum(
         # Sign cut: while every pair so far is tied, -a takes at most as many copies as a.
         partner = counts.get(-value, 0) if tied and value < 0 else None
         most = left if partner is None else min(left, partner)
+        if carry:
+            step = stride + value
         for copies in range(most + 1):
             if copies:
-                if carry:
-                    _add_copies(rows, value, 1, cap, mask)
-                    if rows[cap] >> offset & 1:
+                if carry:  # one copy: the shift-or-mask of _add_up_to
+                    packed |= packed << step & mask
+                    if packed >> zero_at_cap & 1:
                         break  # now containing; more copies stay containing
                 counts[value] = copies
             new_total = total + copies * value
@@ -469,10 +488,10 @@ def _walk_zero_sum(
                 break  # past the window; more copies stay past it
             if new_total + rest * lo <= 0 <= new_total + rest * hi:
                 descend(
-                    i + 1, filled + copies, new_total, rows,
+                    i + 1, filled + copies, new_total, packed,
                     tied and (value > 0 or copies == partner),
                 )
         counts.pop(value, None)
 
-    descend(0, 0, 0, _initial_rows(cap, offset) if carry else (), True)
+    descend(0, 0, 0, 1 << offset if carry else 0, True)
     return nodes

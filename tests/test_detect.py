@@ -8,6 +8,7 @@ facts; these tests compare them rather than trusting either alone.
 import dataclasses
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,13 +158,59 @@ def test_complement_duality_catches_a_corrupted_row(monkeypatch):
         table = real(seq, max_length, *args, **kwargs)
         if max_length != t:
             return table
-        rows = list(table.rows)
-        rows[t] ^= 1 << table.offset
-        return dataclasses.replace(table, rows=tuple(rows))
+        return dataclasses.replace(table, packed=table.packed ^ 1 << t * table.stride + table.offset)
 
     monkeypatch.setattr(detect, "build_table", corrupted)
     assert not check_complement_duality(s, t)
     assert not check_complement_duality(s, s.length - t)
+
+
+@pytest.mark.parametrize(
+    "text, height",
+    [
+        ("-2^1,-1^1", 1),
+        ("-3^2,-1^2,3^1,1^1", 2),
+        ("-4^3,-3^2,-1^1,2^1", 2),
+        ("-2^4,-1^3,0^2,1^1", 1),
+        ("-3^2,-2^2,-1^1,2^1", 3),
+    ],
+)
+def test_short_tables_heavy_in_negatives_keep_rows_apart(text, height):
+    # Copies pushed past the top row with a negative sum borrow into that
+    # row's pad bits; no row may gain a state the oracle does not have.
+    s = parse_sequence(text)
+    table = build_table(s, height)
+    pairs = {(length, total) for length, total in brute_force_pairs(s) if length <= height}
+    expected = [0] * (height + 1)
+    for length, total in pairs:
+        expected[length] |= 1 << total + table.offset
+    assert table.rows == tuple(expected)
+    for length in range(height + 1):
+        for total in range(-table.offset, table.offset + 1):
+            assert table.reachable(length, total) == ((length, total) in pairs)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_packed_payload_fits_the_estimate(k):
+    # build_table refuses by estimate_table_bytes, so the estimate must not
+    # undercount the ints a table holds: a cap one byte below them refuses.
+    for height in (0, 1, 2, 7, 40, 300):
+        for values in ([k], [-k, 0], range(-k, k + 1)):
+            s = BoundedSequence.from_terms({v: height + 1 for v in values}, k)
+            for keep_layers in (True, False):
+                table = build_table(s, height, keep_layers=keep_layers)
+                # With layers, ``packed`` is the last snapshot, not a copy.
+                held = table.snapshots or (table.packed,)
+                payload = sum(sys.getsizeof(x) for x in held)
+                with pytest.raises(ResourceLimitError):
+                    build_table(s, height, memory_limit=payload - 1, keep_layers=keep_layers)
+
+
+def test_a_tall_table_has_a_printable_repr():
+    # Its packed int runs past Python's 4,300-digit str conversion limit.
+    table = build_table(parse_sequence("3^60,-3^60"), 60)
+    assert table.packed.bit_length() > 4300 * 4
+    assert "max_length=60" in repr(table)
 
 
 def test_complement_duality_preconditions():
