@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 
 from .detect import iter_zero_sum_sequences, spectrum
@@ -166,8 +166,15 @@ def lemma41_margin_check(t: int = 420, n: int = 29) -> bool:
     return Fraction(t, 18) >= need and Fraction(t, 10) >= need
 
 
+@cache
 def minimal_zero_sum_max_length(k: int) -> int:
     """Maximum length of a minimal zero-sum sequence over [-k, k].
+
+    :func:`~zsseq.search.longest_avoiding` relies on it: this length L is
+    the width of the window of empty lengths that certifies every longer
+    length empty, so a value that is too small would make the search skip
+    lengths it has not proven empty.  Cached, because the search asks
+    for it whenever its ceiling lies above the constant.
 
     Minimal means nonempty, zero-sum, with no proper nonempty zero-sum
     subsequence; equivalently the spectrum is exactly {0, |s|}.  Found by

@@ -4,7 +4,9 @@ One search driver, :func:`longest_avoiding`, makes exact-length walks of
 the zero-sum walker of :mod:`zsseq.detect`, which carries the kernel rows
 along each branch, so containment prunes a subtree the moment it appears
 and every surviving leaf is already avoiding; each result is re-checked by
-the kernel.  :func:`enumerate_extremal` is that search with its ceiling at
+the kernel.  When the constant is finite the search starts just above it,
+at the top of a window of lengths whose emptiness proves every longer
+length empty.  :func:`enumerate_extremal` is that search with its ceiling at
 the critical length, keeping only that length.
 
 Exhaustiveness is only claimed when every walk was covered and the best
@@ -18,7 +20,12 @@ import time
 from dataclasses import dataclass
 from math import gcd
 
-from .constants import divisibility_condition, s_prime_t
+from .constants import (
+    MINIMAL_SEARCH_MAX_K,
+    divisibility_condition,
+    minimal_zero_sum_max_length,
+    s_prime_t,
+)
 from .detect import _walk_order_key, _walk_zero_sum, _WalkCapped, is_t_avoiding
 from .errors import CrossCheckError, PreconditionError
 from .reduction import BlockX, append_blocks, build_block
@@ -105,12 +112,25 @@ def longest_avoiding(
 ) -> SearchResult:
     """Longest zero-sum t-avoiding sequence over [-k, k] with length <= ceiling.
 
-    Walks the lengths ceiling, ceiling - 1, ..., t + 1, then t - 1 (length t
+    Walks the lengths top, top - 1, ..., t + 1, then t - 1 (length t
     contains itself) and stops at the first with an avoiding sequence;
     ``witnesses`` holds those, or the first ``max_witnesses`` in walk order
     (ascending :func:`~zsseq.detect._walk_order_key`), in canonical order.
     ``max_nodes`` and ``time_limit`` bound the whole search.  ``exhaustive``
     is True only if no cap was hit and the maximum is below the ceiling.
+
+    top is the ceiling, or c + L - 1 if lower, with c the constant
+    (:func:`~zsseq.constants.s_prime_t`) when it is finite and L the
+    longest minimal zero-sum length over [-k, k]
+    (:func:`~zsseq.constants.minimal_zero_sum_max_length`, or its proven
+    bound 2k past the exhaustive range).  Longer lengths need no walk, by
+    the window lemma: if no zero-sum t-avoider has a length in
+    [m, m + L - 1], none has a length >= m.  A zero-sum S of length
+    n >= m + L contains a minimal zero-sum M with |M| <= L, and S - M is
+    zero-sum of length in [m, n - 1], so by induction it contains a
+    zero-sum of length t, and so does S.  The walks c + L - 1, ..., c come
+    first, so the answer rests on them, not on the theorem: an avoider of
+    length >= c raises :class:`CrossCheckError`.
     """
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
@@ -140,10 +160,16 @@ def longest_avoiding(
     if progress is not None:
         wrapped = lambda nodes: progress(nodes, best)  # noqa: E731
 
+    top = ceiling
+    constant = s_prime_t(k, t).value
+    if constant is not None and ceiling > constant:
+        window = minimal_zero_sum_max_length(k) if k <= MINIMAL_SEARCH_MAX_K else 2 * k
+        top = min(ceiling, constant + window - 1)
+
     deadline = None if time_limit is None else time.monotonic() + time_limit
     stop_reason = None
     nodes = 0
-    for n in [*range(ceiling, t, -1), t - 1]:
+    for n in [*range(top, t, -1), t - 1]:
         try:
             nodes = _walk_zero_sum(
                 k, n, on_leaf, t=t, max_nodes=max_nodes, deadline=deadline,
@@ -161,6 +187,11 @@ def longest_avoiding(
     for w in witnesses:
         if w.sigma != 0 or not is_t_avoiding(w, t):
             raise CrossCheckError(f"search produced an invalid witness: {w}")
+    if constant is not None and best >= constant:
+        raise CrossCheckError(
+            f"found a zero-sum {t}-avoider of length {best} over [-{k}, {k}], "
+            f"at or above the constant {constant}"
+        )
     return SearchResult(
         k=k,
         t=t,

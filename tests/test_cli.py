@@ -373,7 +373,7 @@ def test_time_limit_not_reached_changes_nothing(run):
 # pins an incomplete payload.
 GOLDEN_JSON = [
     (["search-longest", "--k", "2", "--t", "6", "--ceiling", "12"], 0,
-     "5b942a6de53122e98a4119f3a8c8cf4a75eeebdf9a6f75ea540a8b70aaa2e52b"),
+     "a4b9494c1adfd85780cafd06ae572ae9677a1170503bc7530a746e69577f0d2d"),
     (["search-longest", "--k", "3", "--t", "8", "--ceiling", "16"], 0,
      "94e7827a9f52f7f8d131acb0c3e6b31d07587bac67171be219ccfdcd4a48c3cf"),
     (["search-longest", "--k", "2", "--t", "6", "--ceiling", "12", "--max-nodes", "5"], 3,

@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zsseq.constants
 import zsseq.detect
 import zsseq.search
 from zsseq import (
@@ -22,6 +23,7 @@ from zsseq import (
     parse_sequence,
     verify_frobenius_avoidance,
 )
+from zsseq.constants import ConstantValue
 from zsseq.search import _lemma42_margin
 
 # The six longest 6-avoiding zero-sum sequences over [-2, 2], all of
@@ -99,14 +101,15 @@ def test_longest_avoiding_node_cap():
 
 
 def test_longest_avoiding_node_cap_spans_walks():
-    full = longest_avoiding(2, 12, 22)
+    full = longest_avoiding(2, 24, 34)
     assert full.exhaustive and full.nodes_explored > 1000
-    # the walk at the ceiling takes 272 nodes, so this cap stops a later walk
-    capped = longest_avoiding(2, 12, 22, max_nodes=1000)
+    # the walks at 28, 27, 26 and 25 take 213, 325, 103 and 749 nodes, so
+    # this cap stops the last of them
+    capped = longest_avoiding(2, 24, 34, max_nodes=1000)
     assert capped.stop_reason == "node-limit"
     assert not capped.exhaustive
     assert capped.nodes_explored == 1000
-    assert longest_avoiding(2, 12, 22, max_nodes=full.nodes_explored) == full
+    assert longest_avoiding(2, 24, 34, max_nodes=full.nodes_explored) == full
 
 
 def test_longest_avoiding_time_cap():
@@ -119,7 +122,7 @@ def test_longest_avoiding_time_cap():
 def test_longest_avoiding_time_cap_spans_walks():
     # Every walk here is under 1024 nodes; the clock is still read because
     # the node count runs on across walks.
-    result = longest_avoiding(2, 12, 22, time_limit=0.0)
+    result = longest_avoiding(2, 24, 34, time_limit=0.0)
     assert result.stop_reason == "time-limit"
     assert not result.exhaustive
 
@@ -129,6 +132,55 @@ def test_longest_avoiding_witness_cap():
     assert result.best_length == 7
     assert len(result.witnesses) == 2
     assert set(result.witnesses) <= critical_set()
+
+
+def descent_from_the_ceiling(k, t, ceiling):
+    """The payload, less ``nodes_explored``, of a walk of every length from the ceiling down."""
+    for n in [*range(ceiling, t, -1), t - 1]:
+        leaves = []
+        zsseq.detect._walk_zero_sum(k, n, leaves.append, t)
+        if leaves:
+            break
+    first = sorted(leaves, key=zsseq.detect._walk_order_key)[:64]
+    best = n if leaves else 0
+    return {
+        "k": k,
+        "t": t,
+        "best_length": best,
+        "witnesses": [w.to_json_dict() for w in sorted(first, key=lambda s: s.terms)],
+        "exhaustive": best < ceiling,
+        "stop_reason": None,
+    }
+
+
+# (k, t, constant c, longest minimal zero-sum length L)
+WINDOW_CASES = [(1, 2, 2, 2), (1, 4, 4, 2), (1, 6, 6, 2), (2, 6, 8, 3), (2, 12, 14, 3)]
+
+
+@pytest.mark.parametrize(
+    "k,t,ceiling",
+    [(k, t, ceiling) for k, t, c, L in WINDOW_CASES for ceiling in range(t, c + 2 * L + 3)],
+)
+def test_longest_avoiding_matches_a_descent_from_the_ceiling(k, t, ceiling):
+    payload = longest_avoiding(k, t, ceiling).to_json_dict()
+    del payload["nodes_explored"]
+    assert payload == descent_from_the_ceiling(k, t, ceiling)
+
+
+def test_longest_avoiding_starts_at_the_top_of_the_window():
+    # c = 14 and L = 3: the empty walks at 16, 15 and 14 rule out every
+    # longer length, and the walk at 13 finds the 18 witnesses.
+    walks = [zsseq.detect._walk_zero_sum(2, n, lambda s: None, 12) for n in (16, 15, 14, 13)]
+    assert sum(walks) == 416
+    assert longest_avoiding(2, 12, 22).nodes_explored == 416
+
+
+def test_longest_avoiding_rejects_an_avoider_at_the_constant(monkeypatch):
+    # One too low, the constant 7 puts the critical length 7 inside the window.
+    low = lambda k, t: ConstantValue(zsseq.constants.s_prime_t(k, t).value - 1)  # noqa: E731
+    monkeypatch.setattr(zsseq.search, "s_prime_t", low)
+    with pytest.raises(CrossCheckError, match="length 7 .* constant 7"):
+        longest_avoiding(2, 6, 12)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
