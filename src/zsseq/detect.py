@@ -49,10 +49,10 @@ path; tests and ``selftest`` compare the two routes.
 
 Every exhaustive walk over zero-sum multisets in [-k, k] goes through one
 walker, :func:`_walk_zero_sum`, whose leaves are the multisets that avoid
-a length t.  The searches in :mod:`zsseq.search` carry the packed kernel
-rows along a branch to test that; the enumeration here asks for
-t = length + 1, which needs no rows and makes every zero-sum multiset a
-leaf.
+a length t.  Every walk carries a packed kernel table along a branch to
+test that; the enumeration here asks for t = length + 1, which no
+multiset of that length contains, so its walk carries the empty table and
+every zero-sum multiset is a leaf.
 """
 
 from __future__ import annotations
@@ -84,10 +84,9 @@ class ValueLayer:
 
 @dataclass(frozen=True)
 class Witness:
-    """A subsequence found by the kernel, with the length it was asked for."""
+    """A subsequence found by the kernel."""
 
     subsequence: BoundedSequence
-    target_length: int
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ class LengthSumTable:
     bits plus ``stride - width`` = bound pad bits, which only row
     ``max_length`` can have set and no query reads.  Longer lengths down to
     n - ``max_length`` are answered through the complement, using
-    ``source_sigma`` = sigma(source).  ``snapshots`` holds the packed int
+    sigma(source).  ``snapshots`` holds the packed int
     after each distinct value (needed for witness recovery); it is empty
     when the table was built with ``keep_layers=False``.  ``rows`` and
     ``layers`` decode the same data one row per int, on first use.
@@ -124,11 +123,6 @@ class LengthSumTable:
     # Left out of repr: a packed int past 4,300 digits cannot be printed.
     packed: int = field(repr=False)
     snapshots: tuple[int, ...] = field(repr=False)
-
-    @cached_property
-    def source_sigma(self) -> int:
-        # Only complement queries need it; most tables never ask.
-        return self.source.sigma
 
     def _unpack(self, packed: int) -> tuple[int, ...]:
         window = (1 << self.width) - 1
@@ -149,7 +143,7 @@ class LengthSumTable:
 
     def reachable(self, length: int, total: int = 0) -> bool:
         if length > self.max_length:
-            length, total = self.source.length - length, self.source_sigma - total
+            length, total = self.source.length - length, self.source.sigma - total
         if not 0 <= length <= self.max_length:
             return False
         pos = total + self.offset
@@ -188,7 +182,7 @@ class LengthSumTable:
             raise PreconditionError("table was built without layers; witnesses unavailable")
         mirrored = length > self.max_length
         if mirrored:
-            length, total = self.source.length - length, self.source_sigma - total
+            length, total = self.source.length - length, self.source.sigma - total
         counts: dict[int, int] = {}
         j, sigma = length, total
         terms = self.source.terms
@@ -229,6 +223,13 @@ def _add_up_to(packed: int, value: int, mult: int, cap: int, stride: int, mask: 
     return packed
 
 
+def _geometry(bound: int, height: int) -> tuple[int, int, int]:
+    """(offset, stride, mask) of rows 0..height over [-bound, bound]: the module docstring's layout."""
+    offset = bound * height
+    stride = 2 * offset + 1 + bound
+    return offset, stride, (1 << (height + 1) * stride) - 1
+
+
 def estimate_table_bytes(s: BoundedSequence, max_length: int) -> int:
     width = 2 * s.bound * max_length + 1
     rows = max_length + 1
@@ -252,18 +253,14 @@ def build_table(
         raise ResourceLimitError(
             f"table estimate {estimate} bytes exceeds the {memory_limit}-byte cap"
         )
-    c = max_length
-    offset = s.bound * c
-    width = 2 * offset + 1
-    stride = width + s.bound
-    mask = (1 << (c + 1) * stride) - 1
+    offset, stride, mask = _geometry(s.bound, max_length)
     packed = 1 << offset
     snapshots: list[int] = []
     for value, mult in s.terms:
-        packed = _add_up_to(packed, value, mult, c, stride, mask)
+        packed = _add_up_to(packed, value, mult, max_length, stride, mask)
         if keep_layers:
             snapshots.append(packed)
-    return LengthSumTable(s, c, offset, width, stride, packed, tuple(snapshots))
+    return LengthSumTable(s, max_length, offset, 2 * offset + 1, stride, packed, tuple(snapshots))
 
 
 def find_zero_sum_of_length(
@@ -285,7 +282,7 @@ def find_zero_sum_of_length(
         return None
     if found.sigma != 0 or found.length != t:
         raise CrossCheckError(f"kernel witness {found} is not a zero-sum of length {t}")
-    return Witness(found, t)
+    return Witness(found)
 
 
 def is_t_avoiding(s: BoundedSequence, t: int, memory_limit: int = DEFAULT_MEMORY_LIMIT) -> bool:
@@ -353,7 +350,7 @@ def iter_zero_sum_sequences(k: int, length: int) -> Iterator[BoundedSequence]:
     descending (positive before negative), and the value 0 absorbs whatever
     length remains; that is, ascending by :func:`_walk_order_key`.  The walk
     avoids t = length + 1, which no multiset of this length can contain, so
-    it carries no kernel rows.
+    it carries the empty table and every zero-sum multiset is a leaf.
     """
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
@@ -418,8 +415,8 @@ def _walk_zero_sum(
     lengths <= min(t, length - t), as one packed int extended one copy at
     a time along the branch (a node rebinds it, so nothing is copied), and
     the branch is cut the moment it contains a zero-sum of that length.
-    With length < t no rows are needed and every zero-sum multiset is a
-    leaf.
+    With length < t it carries the empty table (packed int and mask 0),
+    which no shift fills and which never contains: every multiset is a leaf.
 
     Nodes are counted on from ``nodes``, so a search made of several
     walks keeps one count for ``max_nodes``, the ``time.monotonic()``
@@ -433,13 +430,11 @@ def _walk_zero_sum(
     later_lo = [min(order[i + 1 :]) for i in range(last)]
     later_hi = [max(order[i + 1 :]) for i in range(last)]
 
-    carry = length >= t
-    if carry:
-        cap = min(t, length - t)
-        offset = k * cap
-        stride = 2 * offset + 1 + k
-        mask = (1 << (cap + 1) * stride) - 1
-        zero_at_cap = cap * stride + offset
+    cap = min(t, length - t) if length >= t else 0
+    offset, stride, mask = _geometry(k, cap)
+    if length < t:
+        mask = 0  # the empty table: it starts at 0, and no shift fills it
+    zero_at_cap = cap * stride + offset
 
     counts: dict[int, int] = {}
 
@@ -457,10 +452,9 @@ def _walk_zero_sum(
         left = length - filled
         if i == last:
             # The window one level up leaves one way to finish: total + left * value == 0.
-            if carry:
-                packed = _add_up_to(packed, value, left, cap, stride, mask)
-                if packed >> zero_at_cap & 1:
-                    return
+            packed = _add_up_to(packed, value, left, cap, stride, mask)
+            if packed >> zero_at_cap & 1:
+                return
             leaf = BoundedSequence.from_terms({**counts, value: left}, k)
             on_leaf(leaf)
             if not tied:
@@ -471,14 +465,12 @@ def _walk_zero_sum(
         # Sign cut: while every pair so far is tied, -a takes at most as many copies as a.
         partner = counts.get(-value, 0) if tied and value < 0 else None
         most = left if partner is None else min(left, partner)
-        if carry:
-            step = stride + value
+        step = stride + value
         for copies in range(most + 1):
             if copies:
-                if carry:  # one copy: the shift-or-mask of _add_up_to
-                    packed |= packed << step & mask
-                    if packed >> zero_at_cap & 1:
-                        break  # now containing; more copies stay containing
+                packed |= packed << step & mask  # one copy: the shift-or-mask of _add_up_to
+                if packed >> zero_at_cap & 1:
+                    break  # now containing; more copies stay containing
                 counts[value] = copies
             new_total = total + copies * value
             rest = left - copies
@@ -493,5 +485,5 @@ def _walk_zero_sum(
                 )
         counts.pop(value, None)
 
-    descend(0, 0, 0, 1 << offset if carry else 0, True)
+    descend(0, 0, 0, 1 << offset & mask, True)
     return nodes

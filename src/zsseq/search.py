@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, inf
 
 from .constants import (
     MINIMAL_SEARCH_MAX_K,
@@ -116,8 +116,9 @@ def longest_avoiding(
     contains itself) and stops at the first with an avoiding sequence;
     ``witnesses`` holds those, or the first ``max_witnesses`` in walk order
     (ascending :func:`~zsseq.detect._walk_order_key`), in canonical order.
-    ``max_nodes`` and ``time_limit`` bound the whole search.  ``exhaustive``
-    is True only if no cap was hit and the maximum is below the ceiling.
+    ``max_nodes`` and ``time_limit`` bound the whole search; a negative cap
+    or a time limit that is not finite is refused.  ``exhaustive`` is True
+    only if no cap was hit and the maximum is below the ceiling.
 
     top is the ceiling, or c + L - 1 if lower, with c the constant
     (:func:`~zsseq.constants.s_prime_t`) when it is finite and L the
@@ -138,6 +139,10 @@ def longest_avoiding(
         raise PreconditionError(f"t must be >= 1, got {t}")
     if ceiling < t:
         raise PreconditionError(f"ceiling must be >= t, got ceiling={ceiling} < t={t}")
+    caps = {"max_nodes": max_nodes, "max_witnesses": max_witnesses, "time_limit": time_limit}
+    for name, cap in caps.items():
+        if cap is not None and not 0 <= cap < inf:  # false for NaN too
+            raise PreconditionError(f"{name} must be a finite number >= 0, got {cap}")
 
     best = -1
     witnesses: list[BoundedSequence] = []

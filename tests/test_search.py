@@ -93,6 +93,38 @@ def test_longest_avoiding_preconditions(k, t, ceiling):
         longest_avoiding(k, t, ceiling)
 
 
+OUT_OF_DOMAIN_CAPS = [
+    {"max_nodes": -3},
+    {"time_limit": -3.0},
+    {"time_limit": float("nan")},
+    {"time_limit": float("inf")},
+]
+
+
+def cap_id(caps):
+    return ",".join(f"{name}={value}" for name, value in caps.items())
+
+
+@pytest.mark.parametrize("caps", [*OUT_OF_DOMAIN_CAPS, {"max_witnesses": -1}], ids=cap_id)
+def test_longest_avoiding_rejects_out_of_domain_caps(caps):
+    (name,) = caps
+    with pytest.raises(PreconditionError, match=name):
+        longest_avoiding(2, 24, 34, **caps)
+
+
+@pytest.mark.parametrize("caps", OUT_OF_DOMAIN_CAPS, ids=cap_id)
+def test_extremal_rejects_out_of_domain_caps(caps):
+    (name,) = caps
+    with pytest.raises(PreconditionError, match=name):
+        enumerate_extremal(2, 24, **caps)
+
+
+def test_zero_caps_are_in_the_domain():
+    assert longest_avoiding(2, 6, 12, max_nodes=0).stop_reason == "node-limit"
+    result = longest_avoiding(2, 6, 12, max_witnesses=0)
+    assert result.best_length == 7 and result.witnesses == () and result.exhaustive
+
+
 def test_longest_avoiding_node_cap():
     result = longest_avoiding(2, 6, 12, max_nodes=5)
     assert result.stop_reason == "node-limit"
@@ -211,6 +243,24 @@ def test_walker_leaves_are_the_avoiders_closed_under_negation(k):
             assert len(leaves) == len(set(leaves)), (k, n, t)
             assert {negate(s) for s in leaves} == set(leaves), (k, n, t)
             assert set(leaves) == brute_force_avoiders(k, t, n), (k, n, t)
+
+
+def test_walks_shorter_than_t_carry_the_empty_table():
+    # Nothing fills the empty table, so no containment cut fires, every
+    # zero-sum multiset is a leaf and the walk does not depend on t.  The
+    # second count, over every t, also pins the walks that carry rows.
+    walk = zsseq.detect._walk_zero_sum
+    grid = [(k, n) for k in (1, 2, 3) for n in range(9)]
+    assert sum(walk(k, n, lambda s: None, n + 1) for k, n in grid) == 1078
+    assert sum(walk(k, n, lambda s: None, t) for k, n in grid for t in range(1, n + 2)) == 5203
+    near, far = [], []
+    assert walk(3, 8, near.append, 9) == walk(3, 8, far.append, 40)
+    zero_sum = {
+        BoundedSequence.from_elements(e, 3)
+        for e in combinations_with_replacement(range(-3, 4), 8)
+        if sum(e) == 0
+    }
+    assert near == far and len(near) == len(zero_sum) and set(near) == zero_sum
 
 
 def test_extremal_k3_t60_walks_one_sign_of_each_pair():
