@@ -206,14 +206,14 @@ class LengthSumTable:
         return BoundedSequence.from_terms(counts, self.source.bound)
 
 
-def _add_up_to(packed: int, value: int, mult: int, cap: int, stride: int, mask: int) -> int:
-    """``packed`` with 0 .. min(mult, cap) copies of ``value`` added.
+def _add_up_to(packed: int, value: int, mult: int, height: int, stride: int, mask: int) -> int:
+    """``packed`` with 0 .. min(mult, height) copies of ``value`` added.
 
     Each binary chunk of w copies is one take-or-leave item: the whole
     table shifted w rows up and w * value along the sums, or-ed in and
-    masked to rows 0..cap.
+    masked to rows 0..height.
     """
-    remaining = min(mult, cap)
+    remaining = min(mult, height)
     chunk = 1
     while remaining:
         w = min(chunk, remaining)
@@ -346,11 +346,9 @@ def brute_force_spectrum(s: BoundedSequence) -> frozenset[int]:
 def iter_zero_sum_sequences(k: int, length: int) -> Iterator[BoundedSequence]:
     """All zero-sum multisets over [-k, k] of the given total length.
 
-    Deterministic order: multiplicities are fixed value by value with |value|
-    descending (positive before negative), and the value 0 absorbs whatever
-    length remains; that is, ascending by :func:`_walk_order_key`.  The walk
-    avoids t = length + 1, which no multiset of this length can contain, so
-    it carries the empty table and every zero-sum multiset is a leaf.
+    In ascending ``terms`` order.  The walk avoids t = length + 1, which no
+    multiset of this length can contain, so it carries the empty table and
+    every zero-sum multiset is a leaf.
     """
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
@@ -358,18 +356,8 @@ def iter_zero_sum_sequences(k: int, length: int) -> Iterator[BoundedSequence]:
         raise PreconditionError(f"length must be >= 0, got {length}")
     found: list[BoundedSequence] = []
     _walk_zero_sum(k, length, found.append, length + 1)
-    found.sort(key=_walk_order_key)
+    found.sort(key=lambda s: s.terms)
     return iter(found)
-
-
-def _value_order(k: int) -> list[int]:
-    """The walker's value order over [-k, k]: k, -k, k-1, -(k-1), ..., 1, -1, 0."""
-    return [v for a in range(k, 0, -1) for v in (a, -a)] + [0]
-
-
-def _walk_order_key(s: BoundedSequence) -> tuple[int, ...]:
-    """Multiplicities in the walker's value order; a full walk would emit leaves ascending by it."""
-    return tuple(s.multiplicity(v) for v in _value_order(s.bound))
 
 
 class _WalkCapped(Exception):
@@ -396,7 +384,8 @@ def _walk_zero_sum(
     Multiplicities are fixed value by value: |value| descending, positive
     before negative, 0 last, each from 0 upward; the last value takes
     whatever length remains.  ``on_leaf(s)`` is called with every such
-    multiset that avoids t, as a sequence, exactly once.
+    multiset that avoids t, as a sequence, exactly once, in no promised
+    order: callers that need one sort the leaves.
 
     Negation maps [-k, k] onto itself and keeps every subsequence's length
     and sum, so s avoids t exactly when -s does, and the walk visits one
@@ -404,9 +393,7 @@ def _walk_zero_sum(
     from that of -a, the count of a is the larger.  While every pair fixed
     so far is tied, -a takes at most as many copies as a.  Each leaf s is
     passed to ``on_leaf`` and then its mirror -s, or s alone when the
-    branch is tied throughout (s = -s).  Leaves thus arrive canonical
-    first, each followed by its mirror, and not in the order of
-    :func:`_walk_order_key`; callers that need that order sort by it.
+    branch is tied throughout (s = -s).
 
     A branch is cut once the values still to come cannot fill the
     remaining length and cancel the partial sum.  The rest of a zero-sum
@@ -424,17 +411,17 @@ def _walk_zero_sum(
     65536).  Returns the count.  Raises :class:`_WalkCapped`, carrying the
     count so far, when ``max_nodes`` is exceeded or the deadline passed.
     """
-    order = _value_order(k)
+    order = [v for a in range(k, 0, -1) for v in (a, -a)] + [0]
     last = len(order) - 1
     # Range of the values after index i; every remaining slot takes one.
     later_lo = [min(order[i + 1 :]) for i in range(last)]
     later_hi = [max(order[i + 1 :]) for i in range(last)]
 
-    cap = min(t, length - t) if length >= t else 0
-    offset, stride, mask = _geometry(k, cap)
+    height = min(t, length - t) if length >= t else 0
+    offset, stride, mask = _geometry(k, height)
     if length < t:
         mask = 0  # the empty table: it starts at 0, and no shift fills it
-    zero_at_cap = cap * stride + offset
+    zero_at_height = height * stride + offset
 
     counts: dict[int, int] = {}
 
@@ -452,8 +439,8 @@ def _walk_zero_sum(
         left = length - filled
         if i == last:
             # The window one level up leaves one way to finish: total + left * value == 0.
-            packed = _add_up_to(packed, value, left, cap, stride, mask)
-            if packed >> zero_at_cap & 1:
+            packed = _add_up_to(packed, value, left, height, stride, mask)
+            if packed >> zero_at_height & 1:
                 return
             leaf = BoundedSequence.from_terms({**counts, value: left}, k)
             on_leaf(leaf)
@@ -469,7 +456,7 @@ def _walk_zero_sum(
         for copies in range(most + 1):
             if copies:
                 packed |= packed << step & mask  # one copy: the shift-or-mask of _add_up_to
-                if packed >> zero_at_cap & 1:
+                if packed >> zero_at_height & 1:
                     break  # now containing; more copies stay containing
                 counts[value] = copies
             new_total = total + copies * value

@@ -139,12 +139,12 @@ def reduce_step(
     for js in (range(1, 2), range(2, max_j + 1)):
         if not js:
             break
-        cap = max(min(j * block_len - 1, n - j * block_len) for j in js)
+        height = max(min(j * block_len - 1, n - j * block_len) for j in js)
         tables = {}
         for j in js:
             for f in foreign_values:
                 if f not in tables:
-                    tables[f] = build_table(_without_one(s, f), cap, memory_limit=memory_limit)
+                    tables[f] = build_table(_without_one(s, f), height, memory_limit=memory_limit)
                 rest = tables[f].witness(j * block_len - 1, -f)
                 if rest is not None:
                     return _rewrite(s, x, j, f, rest)

@@ -26,7 +26,7 @@ from .constants import (
     minimal_zero_sum_max_length,
     s_prime_t,
 )
-from .detect import _walk_order_key, _walk_zero_sum, _WalkCapped, is_t_avoiding
+from .detect import _walk_zero_sum, _WalkCapped, is_t_avoiding
 from .errors import CrossCheckError, PreconditionError
 from .reduction import BlockX, append_blocks, build_block
 from .sequences import BoundedSequence, negate
@@ -114,8 +114,8 @@ def longest_avoiding(
 
     Walks the lengths top, top - 1, ..., t + 1, then t - 1 (length t
     contains itself) and stops at the first with an avoiding sequence;
-    ``witnesses`` holds those, or the first ``max_witnesses`` in walk order
-    (ascending :func:`~zsseq.detect._walk_order_key`), in canonical order.
+    ``witnesses`` holds those ascending by ``terms``, or the first
+    ``max_witnesses`` of them, so a capped list is a prefix of the full one.
     ``max_nodes`` and ``time_limit`` bound the whole search; a negative cap
     or a time limit that is not finite is refused.  ``exhaustive`` is True
     only if no cap was hit and the maximum is below the ceiling.
@@ -148,14 +148,13 @@ def longest_avoiding(
     witnesses: list[BoundedSequence] = []
 
     def keep_first() -> None:
-        witnesses.sort(key=_walk_order_key)
-        del witnesses[max_witnesses:]
+        witnesses[:] = sorted(witnesses, key=lambda s: s.terms)[:max_witnesses]
 
     def on_leaf(s: BoundedSequence) -> None:
         nonlocal best
         best = s.length
         witnesses.append(s)
-        # Mirrors arrive out of walk order, so keep the smallest by key:
+        # Leaves arrive in no promised order, so keep the smallest by terms:
         # trimming at twice the cap bounds the buffer with one sort per
         # ``max_witnesses`` leaves.
         if max_witnesses is not None and len(witnesses) >= 2 * max_witnesses:
@@ -187,8 +186,7 @@ def longest_avoiding(
         if best >= 0:
             break
 
-    if max_witnesses is not None:
-        keep_first()
+    keep_first()
     for w in witnesses:
         if w.sigma != 0 or not is_t_avoiding(w, t):
             raise CrossCheckError(f"search produced an invalid witness: {w}")
@@ -201,7 +199,7 @@ def longest_avoiding(
         k=k,
         t=t,
         best_length=max(best, 0),
-        witnesses=tuple(sorted(witnesses, key=lambda s: s.terms)),
+        witnesses=tuple(witnesses),
         exhaustive=stop_reason is None and best < ceiling,
         nodes_explored=nodes,
         stop_reason=stop_reason,
@@ -235,11 +233,7 @@ def enumerate_extremal(
         k, t, max(target, t), max_nodes=max_nodes, time_limit=time_limit, max_witnesses=None
     )
     found = result.witnesses if result.best_length == target else ()
-    upper = {-1, k - 1, k}
-    lower = {1, -(k - 1), -k}
-    support_ok = all(
-        set(s.support) <= upper or set(s.support) <= lower for s in found
-    )
+    support_ok = all(_upper_side(k, s) is not None for s in found)
     return ExtremalReport(
         k=k,
         t=t,
@@ -249,6 +243,14 @@ def enumerate_extremal(
         nodes_explored=result.nodes_explored,
         degenerate=k == 1,
     )
+
+
+def _upper_side(k: int, s: BoundedSequence) -> BoundedSequence | None:
+    """s or -s, whichever has support within {-1, k-1, k}; None if neither has."""
+    upper = {-1, k - 1, k}
+    if set(s.support) <= upper:
+        return s
+    return negate(s) if {-v for v in s.support} <= upper else None
 
 
 def verify_frobenius_avoidance(k: int, t: int, s: BoundedSequence) -> bool:
@@ -265,9 +267,8 @@ def verify_frobenius_avoidance(k: int, t: int, s: BoundedSequence) -> bool:
         raise PreconditionError(f"k must be >= 1, got {k}")
     if t < 0:
         raise PreconditionError(f"t must be >= 0, got {t}")
-    upper = {-1, k - 1, k}
-    top = s if set(s.support) <= upper else negate(s)
-    if not set(top.support) <= upper:
+    top = _upper_side(k, s)
+    if top is None:
         raise PreconditionError(
             f"support of {s} is not within {{-1, {k - 1}, {k}}} or {{1, {1 - k}, {-k}}}"
         )

@@ -42,14 +42,6 @@ def critical_set():
     return {BoundedSequence.from_terms(c, 2) for c in CRITICAL_2_6}
 
 
-def walk_order(s):
-    """Multiplicities in the walker's value order k, -k, ..., 1, -1, 0."""
-    k = s.bound
-    return tuple(s.multiplicity(v) for a in range(k, 0, -1) for v in (a, -a)) + (
-        s.multiplicity(0),
-    )
-
-
 def brute_force_avoiders(k, t, n):
     """Zero-sum t-avoiding multisets of length n over [-k, k], by plain enumeration."""
     found = set()
@@ -173,13 +165,13 @@ def descent_from_the_ceiling(k, t, ceiling):
         zsseq.detect._walk_zero_sum(k, n, leaves.append, t)
         if leaves:
             break
-    first = sorted(leaves, key=zsseq.detect._walk_order_key)[:64]
+    first = sorted(leaves, key=lambda s: s.terms)[:64]
     best = n if leaves else 0
     return {
         "k": k,
         "t": t,
         "best_length": best,
-        "witnesses": [w.to_json_dict() for w in sorted(first, key=lambda s: s.terms)],
+        "witnesses": [w.to_json_dict() for w in first],
         "exhaustive": best < ceiling,
         "stop_reason": None,
     }
@@ -226,12 +218,14 @@ def test_longest_avoiding_matches_brute_force(k, t):
     assert len(result.witnesses) == len(set(result.witnesses))
 
 
-def test_longest_avoiding_keeps_the_first_witnesses_in_walk_order():
-    # The walker emits each leaf's mirror right after it, so the first five
-    # emitted are not the first five of a full walk.
-    result = longest_avoiding(2, 12, 13, max_witnesses=5)
-    first = sorted(brute_force_avoiders(2, 12, 13), key=walk_order)[:5]
-    assert result.witnesses == tuple(sorted(first, key=lambda s: s.terms))
+def test_longest_avoiding_capped_witnesses_are_a_prefix_of_the_full_list():
+    # 18 witnesses at length 13; caps below 9 also trim the buffer mid-walk.
+    full = tuple(sorted(brute_force_avoiders(2, 12, 13), key=lambda s: s.terms))
+    assert len(full) == 18
+    for cap in range(20):
+        result = longest_avoiding(2, 12, 13, max_witnesses=cap)
+        assert result.witnesses == full[:cap], cap
+    assert longest_avoiding(2, 12, 13, max_witnesses=None).witnesses == full
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
