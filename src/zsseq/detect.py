@@ -50,9 +50,13 @@ path; tests and ``selftest`` compare the two routes.
 Every exhaustive walk over zero-sum multisets in [-k, k] goes through one
 walker, :func:`_walk_zero_sum`, whose leaves are the multisets that avoid
 a length t.  Every walk carries a packed kernel table along a branch to
-test that; the enumeration here asks for t = length + 1, which no
-multiset of that length contains, so its walk carries the empty table and
-every zero-sum multiset is a leaf.
+test that.  The rows stop at height h = min(t, length - t), so the walk
+fixes capped multiplicities: a count of h stands for every count from h
+up, and the multisets of one capped profile are the solutions of two
+linear equations in the extra copies.  The enumeration here asks for
+t = length + 1, which no multiset of that length contains, so its walk
+carries the empty table, caps nothing, and every zero-sum multiset is a
+leaf.
 """
 
 from __future__ import annotations
@@ -369,6 +373,43 @@ class _WalkCapped(Exception):
         self.nodes = nodes
 
 
+def _extra_copies(values: list[int], length: int, total: int) -> Iterator[tuple[int, ...]]:
+    """Every e >= 0 over ``values`` with sum(e) == ``length`` and sum(v * e_v) == ``total``.
+
+    All but the last two values are enumerated, each over the range that
+    leaves the rest a real solution; the last two then have at most one
+    solution, in closed form.  ``values`` are distinct; with none, the one
+    solution is () when ``length`` and ``total`` are both 0.
+    """
+    if not values:
+        if length == total == 0:
+            yield ()
+        return
+    if len(values) == 1:
+        if values[0] * length == total:
+            yield (length,)
+        return
+    if len(values) == 2:
+        a, b = values
+        e, r = divmod(total - b * length, a - b)
+        if not r and 0 <= e <= length:
+            yield (e, length - e)
+        return
+    v, rest = values[0], values[1:]
+    lo, hi = min(rest), max(rest)
+    # The rest needs (length - e) * lo <= total - e * v <= (length - e) * hi:
+    # two bounds e * a <= b on e, with a != 0 since v is not in the rest.
+    first, stop = 0, length
+    for a, b in ((v - lo, total - length * lo), (hi - v, length * hi - total)):
+        if a > 0:
+            stop = min(stop, b // a)
+        else:
+            first = max(first, -(b // -a))
+    for e in range(first, stop + 1):
+        for tail in _extra_copies(rest, length - e, total - e * v):
+            yield (e, *tail)
+
+
 def _walk_zero_sum(
     k: int,
     length: int,
@@ -381,35 +422,48 @@ def _walk_zero_sum(
 ) -> int:
     """Depth-first walk over the zero-sum multisets over [-k, k] of exactly ``length`` elements.
 
-    Multiplicities are fixed value by value: |value| descending, positive
-    before negative, 0 last, each from 0 upward; the last value takes
-    whatever length remains.  ``on_leaf(s)`` is called with every such
-    multiset that avoids t, as a sequence, exactly once, in no promised
-    order: callers that need one sort the leaves.
+    ``on_leaf(s)`` is called with every such multiset that avoids t, as a
+    sequence, exactly once, in no promised order: callers that need one
+    sort the leaves.
+
+    The rest of a zero-sum multiset after a zero-sum piece is zero-sum, so
+    it avoids t exactly when it avoids length - t, and so exactly when it
+    avoids h = min(t, length - t).  A zero-sum piece of length h takes at
+    most h copies of any value, so that depends only on the capped profile
+    c_v = min(mult_v, h).  The walk fixes a capped profile value by value:
+    |value| descending, positive before negative, 0 last.  A non-zero
+    value takes an exact count 0 .. h - 1, or h, which means "h or more"
+    and makes the value free.  0 is never free, since h zeros contain a
+    zero-sum of length h; it takes 0 .. h - 1 copies, or what is left
+    when no value is free.  With length <= t, h = 0 caps nothing: no value
+    is free, and every count is exact.
+
+    The kernel rows of lengths <= h are carried along the branch as one
+    packed int, extended one copy at a time (a node rebinds it, so nothing
+    is copied); the rows saturate at h copies, so a free value is rows of
+    h copies.  A branch is cut the moment it contains a zero-sum of length
+    h, and once the free values and the values still to come cannot fill
+    the remaining length and cancel the partial sum (a free value widens
+    both bounds, and bounds every later value, whose |value| is smaller).
+    At a leaf, with F and T the profile's length and sum counting each
+    free value at h, every solution e >= 0 of sum(e_v) = length - F and
+    sum(v * e_v) = -T over the free values is a leaf multiset.
 
     Negation maps [-k, k] onto itself and keeps every subsequence's length
     and sum, so s avoids t exactly when -s does, and the walk visits one
-    sign of each pair: at the first a (from k down) whose count differs
-    from that of -a, the count of a is the larger.  While every pair fixed
-    so far is tied, -a takes at most as many copies as a.  Each leaf s is
-    passed to ``on_leaf`` and then its mirror -s, or s alone when the
-    branch is tied throughout (s = -s).
-
-    A branch is cut once the values still to come cannot fill the
-    remaining length and cancel the partial sum.  The rest of a zero-sum
-    multiset after a zero-sum piece is zero-sum, so it avoids t exactly
-    when it avoids length - t: the kernel rows are carried only for
-    lengths <= min(t, length - t), as one packed int extended one copy at
-    a time along the branch (a node rebinds it, so nothing is copied), and
-    the branch is cut the moment it contains a zero-sum of that length.
-    With length < t it carries the empty table (packed int and mask 0),
-    which no shift fills and which never contains: every multiset is a leaf.
+    sign of each pair of profiles: at the first a (from k down) whose
+    capped count differs from that of -a, the count of a is the larger.
+    While every pair fixed so far is tied, -a takes at most as many copies
+    as a.  Negation maps the solutions of a profile onto those of its
+    negation, so each leaf s is passed to ``on_leaf`` and then its mirror
+    -s, or s alone when the profile is tied throughout.
 
     Nodes are counted on from ``nodes``, so a search made of several
     walks keeps one count for ``max_nodes``, the ``time.monotonic()``
-    ``deadline`` (checked every 1024 nodes) and ``progress(nodes)`` (every
-    65536).  Returns the count.  Raises :class:`_WalkCapped`, carrying the
-    count so far, when ``max_nodes`` is exceeded or the deadline passed.
+    ``deadline`` (checked every 1024 nodes, and at every leaf solution)
+    and ``progress(nodes)`` (every 65536).  Returns the count.  Raises
+    :class:`_WalkCapped`, carrying the count so far, when ``max_nodes`` is
+    exceeded or the deadline passed.
     """
     order = [v for a in range(k, 0, -1) for v in (a, -a)] + [0]
     last = len(order) - 1
@@ -422,38 +476,66 @@ def _walk_zero_sum(
     if length < t:
         mask = 0  # the empty table: it starts at 0, and no shift fills it
     zero_at_height = height * stride + offset
+    # A count of ``cap`` makes a value free; with no rows, no count reaches it.
+    cap = height or length + 1
 
     counts: dict[int, int] = {}
+    free: list[int] = []
 
-    def descend(i: int, filled: int, total: int, packed: int, tied: bool) -> None:
-        nonlocal nodes
-        nodes += 1
+    checkpoint = 0  # the first node takes the slow path, which sets the next checkpoint
+
+    def at_checkpoint() -> None:
+        # The caps are read here only: at multiples of 1024 and at max_nodes + 1.
+        nonlocal checkpoint
         if max_nodes is not None and nodes > max_nodes:
             raise _WalkCapped("node-limit", nodes - 1)
-        if nodes % 1024 == 0 and deadline is not None:
-            if time.monotonic() > deadline:
+        if nodes % 1024 == 0:
+            if deadline is not None and time.monotonic() > deadline:
                 raise _WalkCapped("time-limit", nodes - 1)
-        if progress is not None and nodes % 65536 == 0:
-            progress(nodes)
+            if progress is not None and nodes % 65536 == 0:
+                progress(nodes)
+        checkpoint = nodes - nodes % 1024 + 1024
+        if max_nodes is not None and max_nodes < checkpoint:
+            checkpoint = max_nodes + 1
+
+    def descend(
+        i: int, filled: int, total: int, packed: int, tied: bool, free_lo: int, free_hi: int
+    ) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes >= checkpoint:
+            at_checkpoint()
         value = order[i]
         left = length - filled
         if i == last:
-            # The window one level up leaves one way to finish: total + left * value == 0.
-            packed = _add_up_to(packed, value, left, height, stride, mask)
-            if packed >> zero_at_height & 1:
-                return
-            leaf = BoundedSequence.from_terms({**counts, value: left}, k)
-            on_leaf(leaf)
-            if not tied:
-                on_leaf(negate(leaf))
+            # With no value free the window one level up leaves one way to
+            # finish, all that is left; otherwise 0 takes any count below cap.
+            zeros = 0 if free else left
+            packed = _add_up_to(packed, value, zeros, height, stride, mask)
+            while not packed >> zero_at_height & 1:
+                for extra in _extra_copies(free, left - zeros, -total):
+                    if deadline is not None and time.monotonic() > deadline:
+                        raise _WalkCapped("time-limit", nodes)
+                    terms = {**counts, value: zeros}
+                    for v, e in zip(free, extra):
+                        terms[v] = cap + e
+                    leaf = BoundedSequence.from_terms(terms, k)
+                    on_leaf(leaf)
+                    if not tied:
+                        on_leaf(negate(leaf))
+                if zeros == left:
+                    break
+                zeros += 1  # at most cap - 1 times: cap zeros contain
+                packed |= packed << stride & mask
             return
-        lo = later_lo[i]
-        hi = later_hi[i]
+        # A free value bounds every later one, whose |value| is smaller.
+        lo = free_lo or later_lo[i]
+        hi = free_hi or later_hi[i]
         # Sign cut: while every pair so far is tied, -a takes at most as many copies as a.
         partner = counts.get(-value, 0) if tied and value < 0 else None
-        most = left if partner is None else min(left, partner)
+        most = left if partner is None or partner > left else partner
         step = stride + value
-        for copies in range(most + 1):
+        for copies in range(most + 1 if most < cap else cap):
             if copies:
                 packed |= packed << step & mask  # one copy: the shift-or-mask of _add_up_to
                 if packed >> zero_at_height & 1:
@@ -461,16 +543,35 @@ def _walk_zero_sum(
                 counts[value] = copies
             new_total = total + copies * value
             rest = left - copies
-            # Later values are all smaller than a positive value and larger
-            # than a negative one, so both ends move the same way per copy.
+            # 0 is still to come, so lo <= 0 <= hi: each copy of a positive
+            # value raises the low end, each of a negative one lowers the high end.
             if (new_total + rest * lo > 0) if value > 0 else (new_total + rest * hi < 0):
                 break  # past the window; more copies stay past it
             if new_total + rest * lo <= 0 <= new_total + rest * hi:
                 descend(
                     i + 1, filled + copies, new_total, packed,
-                    tied and (value > 0 or copies == partner),
+                    tied and (value > 0 or copies == partner), free_lo, free_hi,
                 )
+        else:
+            # Then the free copy, "cap or more": it widens the window on its own side.
+            if most >= cap:
+                packed |= packed << step & mask
+                if not packed >> zero_at_height & 1:
+                    counts[value] = cap
+                    new_total = total + cap * value
+                    rest = left - cap
+                    if value > 0:
+                        free_hi = hi = free_hi or value
+                    else:
+                        free_lo = lo = free_lo or value
+                    if new_total + rest * lo <= 0 <= new_total + rest * hi:
+                        free.append(value)
+                        descend(
+                            i + 1, filled + cap, new_total, packed,
+                            tied and (value > 0 or cap == partner), free_lo, free_hi,
+                        )
+                        free.pop()
         counts.pop(value, None)
 
-    descend(0, 0, 0, 1 << offset & mask, True)
+    descend(0, 0, 0, 1 << offset & mask, True, 0, 0)
     return nodes

@@ -355,7 +355,8 @@ def test_bounds_bracket_the_finite_constant(run):
 
 
 def test_search_progress_lines(run):
-    argv = ["--k", "3", "--t", "60", "--ceiling", "70", "--max-nodes", "70000", "--progress"]
+    # The walk at 438 alone runs past the cap, so one line is printed.
+    argv = ["--k", "4", "--t", "420", "--ceiling", "438", "--max-nodes", "70000", "--progress"]
     code, _, err = run("search-longest", *argv)
     assert code == 3
     assert err == "nodes=65536 best=-1\n"
@@ -369,19 +370,19 @@ def test_time_limit_not_reached_changes_nothing(run):
 # Exit code and sha256 of the --json stdout for a fixed set of inputs;
 # any change to an answer, its field order or its exit code shows up here,
 # and so does a change to ``nodes_explored`` in cases 0-4.  Case 4's cap
-# stops the 26,020-node k=3, t=60 walk after 6 of its 10 sequences, so it
+# stops the 1,608-node k=3, t=60 walk after 2 of its 10 sequences, so it
 # pins an incomplete payload.
 GOLDEN_JSON = [
     (["search-longest", "--k", "2", "--t", "6", "--ceiling", "12"], 0,
-     "a4b9494c1adfd85780cafd06ae572ae9677a1170503bc7530a746e69577f0d2d"),
+     "4f6a1b47115a60129b3e9fe4d02a61cb90ff7a0e60a9e5efa06e05f39554fea3"),
     (["search-longest", "--k", "3", "--t", "8", "--ceiling", "16"], 0,
-     "94e7827a9f52f7f8d131acb0c3e6b31d07587bac67171be219ccfdcd4a48c3cf"),
+     "2a3380b3206f854e0afbe70ad5efd3535dcd52351250bda228bcff1314c10f66"),
     (["search-longest", "--k", "2", "--t", "6", "--ceiling", "12", "--max-nodes", "5"], 3,
      "2025383fe8f90a5bfa8479b873706eb3484d737cad8c87fd53e0bba531dd55bc"),
     (["extremal", "--k", "2", "--t", "12"], 0,
-     "8046a64ff2174337dfb87344516fcfc83b161711ee102cbdf908be842797fb0f"),
-    (["extremal", "--k", "3", "--t", "60", "--max-nodes", "15000"], 3,
-     "cbc50543d57a2b9220ef7ac164363fce799bd55c7c206b9a54f78bb8a6f892d5"),
+     "d63440c08f4b754957f9adec33218aaa301a8bac0d93ef3fca4ad6f710384020"),
+    (["extremal", "--k", "3", "--t", "60", "--max-nodes", "1000"], 3,
+     "4840cd75aa478ea72d487e7b9e0e1ce37ec97d56a8fd32bbc71cdc6a2376ab1d"),
     (["check", "--seq", "2^2,1^3,-1^5,-2^1", "--t", "4"], 0,
      "7c2823b84732c37d582765fd65adce09179d87ff6eab89c89e203b2e2f065370"),
     (["check", "--seq", "1^3,-1^3", "--t", "3"], 0,

@@ -1,6 +1,7 @@
 """Search layer: longest-avoiding, extremal enumeration, families, audits."""
 
-from itertools import combinations_with_replacement
+import time
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -126,13 +127,13 @@ def test_longest_avoiding_node_cap():
 
 def test_longest_avoiding_node_cap_spans_walks():
     full = longest_avoiding(2, 24, 34)
-    assert full.exhaustive and full.nodes_explored > 1000
-    # the walks at 28, 27, 26 and 25 take 213, 325, 103 and 749 nodes, so
+    assert full.exhaustive and full.nodes_explored == 166
+    # the walks at 28, 27, 26 and 25 take 74, 54, 19 and 19 nodes, so
     # this cap stops the last of them
-    capped = longest_avoiding(2, 24, 34, max_nodes=1000)
+    capped = longest_avoiding(2, 24, 34, max_nodes=150)
     assert capped.stop_reason == "node-limit"
     assert not capped.exhaustive
-    assert capped.nodes_explored == 1000
+    assert capped.nodes_explored == 150
     assert longest_avoiding(2, 24, 34, max_nodes=full.nodes_explored) == full
 
 
@@ -144,11 +145,33 @@ def test_longest_avoiding_time_cap():
 
 
 def test_longest_avoiding_time_cap_spans_walks():
-    # Every walk here is under 1024 nodes; the clock is still read because
-    # the node count runs on across walks.
+    # The whole search is 166 nodes, fewer than the 1024 between two clock
+    # reads of the node count; the walk at 25 reads it at each leaf it builds.
     result = longest_avoiding(2, 24, 34, time_limit=0.0)
     assert result.stop_reason == "time-limit"
     assert not result.exhaustive
+
+
+def test_walk_reads_the_clock_on_the_count_carried_across_walks():
+    # The walk at 28 is 74 nodes and has no leaf: counted on from 1,000 it
+    # reaches node 1,024, where the clock is read; counted on from 900 it
+    # does not, and the past deadline goes unread.
+    walk = zsseq.detect._walk_zero_sum
+    assert walk(2, 28, lambda s: None, 24, deadline=0.0, nodes=900) == 974
+    with pytest.raises(zsseq.detect._WalkCapped) as capped:
+        walk(2, 28, lambda s: None, 24, deadline=0.0, nodes=1000)
+    assert (capped.value.reason, capped.value.nodes) == ("time-limit", 1023)
+
+
+def test_extremal_time_cap_stops_the_leaf_solve():
+    # 19 nodes and 120,600 sequences: only the clock read at each leaf
+    # built can stop this walk.
+    start = time.monotonic()
+    report = enumerate_extremal(2, 1200, time_limit=0.05)
+    assert time.monotonic() - start < 0.5
+    assert not report.exhaustive
+    for s in report.sequences:
+        assert s.length == 1201 and s.sigma == 0
 
 
 def test_longest_avoiding_witness_cap():
@@ -195,8 +218,8 @@ def test_longest_avoiding_starts_at_the_top_of_the_window():
     # c = 14 and L = 3: the empty walks at 16, 15 and 14 rule out every
     # longer length, and the walk at 13 finds the 18 witnesses.
     walks = [zsseq.detect._walk_zero_sum(2, n, lambda s: None, 12) for n in (16, 15, 14, 13)]
-    assert sum(walks) == 416
-    assert longest_avoiding(2, 12, 22).nodes_explored == 416
+    assert sum(walks) == 161
+    assert longest_avoiding(2, 12, 22).nodes_explored == 161
 
 
 def test_longest_avoiding_rejects_an_avoider_at_the_constant(monkeypatch):
@@ -246,7 +269,7 @@ def test_walks_shorter_than_t_carry_the_empty_table():
     walk = zsseq.detect._walk_zero_sum
     grid = [(k, n) for k in (1, 2, 3) for n in range(9)]
     assert sum(walk(k, n, lambda s: None, n + 1) for k, n in grid) == 1078
-    assert sum(walk(k, n, lambda s: None, t) for k, n in grid for t in range(1, n + 2)) == 5203
+    assert sum(walk(k, n, lambda s: None, t) for k, n in grid for t in range(1, n + 2)) == 4026
     near, far = [], []
     assert walk(3, 8, near.append, 9) == walk(3, 8, far.append, 40)
     zero_sum = {
@@ -257,9 +280,44 @@ def test_walks_shorter_than_t_carry_the_empty_table():
     assert near == far and len(near) == len(zero_sum) and set(near) == zero_sum
 
 
+# (k, length, t, nodes, leaves) of profile walks where h = min(t, length - t)
+# is far below the multiplicities: the node count follows h, not t.
+PROFILE_WALKS = [
+    (2, 61, 60, 19, 330),
+    (3, 65, 60, 1_608, 10),
+    (3, 125, 120, 1_608, 20),
+    (3, 127, 120, 4_542, 0),
+    (3, 70, 60, 14_508, 0),
+]
+
+
+@pytest.mark.parametrize("k,length,t,nodes,count", PROFILE_WALKS)
+def test_profile_walk_nodes_and_leaves(k, length, t, nodes, count):
+    leaves = []
+    assert zsseq.detect._walk_zero_sum(k, length, leaves.append, t) == nodes
+    assert len(leaves) == len(set(leaves)) == count
+    assert {negate(s) for s in leaves} == set(leaves)
+    for s in leaves:
+        assert s.bound == k and s.length == length and s.sigma == 0
+        assert is_t_avoiding(s, t)
+
+
+def test_extra_copies_match_plain_enumeration():
+    # Every solution, each once, for zero to five free values.
+    for values in ([], [2], [-3], [2, -1], [3, -3], [2, -2, 1], [3, -3, 2, -1], [3, -3, 2, -2, 1]):
+        for length in range(7):
+            for total in range(-3 * length, 3 * length + 1):
+                got = list(zsseq.detect._extra_copies(values, length, total))
+                want = [
+                    e for e in product(range(length + 1), repeat=len(values))
+                    if sum(e) == length and sum(v * x for v, x in zip(values, e)) == total
+                ]
+                assert sorted(got) == want, (values, length, total)
+
+
 def test_extremal_k3_t60_walks_one_sign_of_each_pair():
-    # 41,222 nodes when both signs of every pair are walked
-    assert enumerate_extremal(3, 60).nodes_explored == 26_020
+    # 2,246 nodes when both signs of every pair of profiles are walked
+    assert enumerate_extremal(3, 60).nodes_explored == 1_608
 
 
 def test_longest_avoiding_is_deterministic():
@@ -303,6 +361,18 @@ def test_extremal_k3_t60_is_complete_and_keeps_the_support_pattern():
         assert verify_frobenius_avoidance(3, 60, s)
 
 
+def test_extremal_k4_t420_is_complete_and_keeps_the_support_pattern():
+    # The first k=4 case of the theorem: about 0.53 M nodes, a few seconds.
+    report = enumerate_extremal(4, 420)
+    assert report.exhaustive
+    assert len(report.sequences) == 42
+    assert report.support_ok
+    assert {negate(s) for s in report.sequences} == set(report.sequences)
+    for s in report.sequences:
+        assert s.length == 431 and s.sigma == 0
+        assert verify_frobenius_avoidance(4, 420, s)
+
+
 def test_extremal_rechecks_every_sequence(monkeypatch):
     monkeypatch.setattr("zsseq.search.is_t_avoiding", lambda s, t: False)
     with pytest.raises(CrossCheckError):
@@ -322,8 +392,8 @@ def test_extremal_requires_finite_constant():
 
 
 def test_extremal_k3_cap_reports_not_exhaustive():
-    # the complete walk takes 26,020 nodes and has found 2 of the 10 sequences here
-    report = enumerate_extremal(3, 60, max_nodes=10_000)
+    # the complete walk takes 1,608 nodes and has found 2 of the 10 sequences here
+    report = enumerate_extremal(3, 60, max_nodes=1_000)
     assert not report.exhaustive
     for s in report.sequences:
         assert s.length == 60 + 9 - 3 - 1 and s.sigma == 0 and is_t_avoiding(s, 60)
