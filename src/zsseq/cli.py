@@ -324,8 +324,18 @@ def _build_parser() -> argparse.ArgumentParser:
     kt_common.add_argument("--t", type=_positive_int, required=True)
 
     caps_common = argparse.ArgumentParser(add_help=False)
-    caps_common.add_argument("--max-nodes", type=_positive_int, default=None)
-    caps_common.add_argument("--time-limit", type=_finite_float, default=None, help="seconds")
+    caps_common.add_argument(
+        "--max-nodes",
+        type=_positive_int,
+        default=None,
+        help="stop after this many walk nodes; the sequences a leaf builds are not counted",
+    )
+    caps_common.add_argument(
+        "--time-limit",
+        type=_finite_float,
+        default=None,
+        help="stop after this many seconds; also checked at each sequence a leaf builds",
+    )
 
     parser = argparse.ArgumentParser(
         prog="zsseq",

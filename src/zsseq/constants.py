@@ -15,6 +15,7 @@ from math import gcd, lcm
 
 from .detect import iter_zero_sum_sequences, spectrum
 from .errors import CrossCheckError, PreconditionError
+from .sequences import to_json
 
 #: Feasibility cap for the exhaustive minimal-sequence search.
 MINIMAL_SEARCH_MAX_K = 4
@@ -52,13 +53,7 @@ class DivisibilityReport:
         return lcm_range(2, max(2, 2 * self.k - 1))
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "t": self.t,
-            "modulus": self.modulus,
-            "holds": self.holds,
-            "failing_prime_power": self.failing_prime_power,
-        }
+        return {**to_json(self), "modulus": self.modulus}
 
 
 def _check_positive(name: str, value: int) -> None:

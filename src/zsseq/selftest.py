@@ -35,7 +35,7 @@ from .constants import davenport_subset
 from .detect import brute_force_pairs, build_table, spectrum
 from .errors import CrossCheckError
 from .reduction import build_block, foreign_count, reduce_fixpoint, reduce_step, strip_blocks
-from .sequences import BoundedSequence, concat, remove, repeat, sign_partition
+from .sequences import BoundedSequence, concat, remove, repeat, sign_partition, to_json
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,7 @@ class SuiteResult:
         return self.failures == 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "failures": self.failures,
-            "seconds": round(self.seconds, 3),
-            "ok": self.ok,
-            "detail": self.detail,
-        }
+        return {**to_json(self), "seconds": round(self.seconds, 3), "ok": self.ok}
 
 
 def random_zero_sum_of_length(rng: random.Random, k: int, n: int) -> BoundedSequence:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from .errors import (
     SequenceBoundError,
@@ -133,6 +133,22 @@ class BoundedSequence:
             "k": self.bound,
             "terms": [{"value": v, "mult": m} for v, m in self.terms],
         }
+
+
+def to_json(value):
+    """JSON-ready form of a result, the rule the results' ``to_json_dict`` share.
+
+    A :class:`BoundedSequence` is written as ``{k, terms}``, any other
+    dataclass as its fields by name, a tuple as a list, each part by this
+    same rule; anything else is returned as it is.
+    """
+    if isinstance(value, BoundedSequence):
+        return value.to_json_dict()
+    if is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [to_json(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import pytest
 import zsseq
 from zsseq import Spectrum, spectrum
 from zsseq.cli import main
-from zsseq.selftest import run_all
+from zsseq.selftest import SuiteResult, run_all
 
 
 @pytest.fixture
@@ -329,6 +329,17 @@ def test_selftest_quick(run):
     assert err.count("[ok]") == 6
 
 
+def test_suite_result_json_rounds_seconds_and_reports_ok():
+    assert SuiteResult("x", 3, 1, 1.23456, "d").to_json_dict() == {
+        "name": "x",
+        "trials": 3,
+        "failures": 1,
+        "seconds": 1.235,
+        "ok": False,
+        "detail": "d",
+    }
+
+
 def test_selftest_reports_a_failing_suite(run, monkeypatch):
     # A kernel that drops the full length from every spectrum breaks the
     # endpoint check of spectrum_symmetry on every trial.
@@ -393,6 +404,10 @@ GOLDEN_JSON = [
      "81e7939fff4886fd2bbfb4f4c2e8fd4dedb8ba0d2324155b96765bf4f178a467"),
     (["family", "--k", "3", "--t", "10", "--min-length", "20"], 0,
      "0c2e9704f3e1dc87418556f861eafb5bde8fdd314a82a61e4b477da1846c166d"),
+    (["divides", "--k", "3", "--t", "10"], 0,
+     "96b71b91a59adda964ae4cd518713b2f1c8fb155a7221f76deae0eb33cc15804"),
+    (["divides", "--k", "2", "--t", "6"], 0,
+     "0bba0a245fdc91171ed0514628660190cff5e81a6cce8c96abc6505843521491"),
 ]
 
 
