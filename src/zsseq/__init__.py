@@ -41,7 +41,6 @@ from .errors import (
     ZsseqError,
 )
 from .reduction import (
-    append_blocks,
     build_block,
     complete_block,
     foreign_count,
@@ -65,7 +64,6 @@ from .sequences import (
     parse_sequence,
     remove,
     repeat,
-    sign_partition,
 )
 
 __version__ = "0.1.0"
@@ -82,7 +80,6 @@ __all__ = [
     "Spectrum",
     "SubsequenceError",
     "ZsseqError",
-    "append_blocks",
     "brute_force_pairs",
     "brute_force_spectrum",
     "build_block",
@@ -115,7 +112,6 @@ __all__ = [
     "remove",
     "repeat",
     "s_prime_t",
-    "sign_partition",
     "spectrum",
     "strip_blocks",
     "theorem11_bounds",

@@ -27,10 +27,6 @@ class ConstantValue:
 
     value: int | None
 
-    @property
-    def is_finite(self) -> bool:
-        return self.value is not None
-
     def __str__(self) -> str:
         return "infinite" if self.value is None else str(self.value)
 

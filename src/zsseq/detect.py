@@ -62,7 +62,7 @@ leaf.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterator
 
@@ -75,15 +75,6 @@ DEFAULT_MEMORY_LIMIT = 1 << 30
 # Rough per-row allowance used in the estimate; Python ints are not flat
 # words, and each packed row also carries its pad bits.
 _ROW_OVERHEAD = 48
-
-
-@dataclass(frozen=True)
-class ValueLayer:
-    """Decoded view of the rows after one distinct value has been processed."""
-
-    value: int
-    mult: int
-    rows: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -115,8 +106,8 @@ class LengthSumTable:
     n - ``max_length`` are answered through the complement, using
     sigma(source).  ``snapshots`` holds the packed int
     after each distinct value (needed for witness recovery); it is empty
-    when the table was built with ``keep_layers=False``.  ``rows`` and
-    ``layers`` decode the same data one row per int, on first use.
+    when the table was built with ``keep_layers=False``.  ``rows`` decodes
+    ``packed`` one row per int, on first use.
     """
 
     source: BoundedSequence
@@ -128,21 +119,24 @@ class LengthSumTable:
     packed: int = field(repr=False)
     snapshots: tuple[int, ...] = field(repr=False)
 
-    def _unpack(self, packed: int) -> tuple[int, ...]:
-        window = (1 << self.width) - 1
-        return tuple(packed >> j * self.stride & window for j in range(self.max_length + 1))
-
     @cached_property
     def rows(self) -> tuple[int, ...]:
         """``rows[j]`` has bit sigma + offset set iff (j, sigma) is reachable, j <= max_length."""
-        return self._unpack(self.packed)
+        window = (1 << self.width) - 1
+        return tuple(self.packed >> j * self.stride & window for j in range(self.max_length + 1))
 
     @cached_property
-    def layers(self) -> tuple[ValueLayer, ...]:
-        """The rows after each distinct value, decoded from ``snapshots``."""
+    def layers(self) -> tuple[LengthSumTable, ...]:
+        """``layers[i]`` is the table of the value prefix ``terms[:i + 1]``, at this height."""
+        terms, bound = self.source.terms, self.source.bound
         return tuple(
-            ValueLayer(value, mult, self._unpack(packed))
-            for (value, mult), packed in zip(self.source.terms, self.snapshots)
+            replace(
+                self,
+                source=BoundedSequence(bound, terms[: i + 1]),
+                packed=packed,
+                snapshots=self.snapshots[: i + 1],
+            )
+            for i, packed in enumerate(self.snapshots)
         )
 
     def reachable(self, length: int, total: int = 0) -> bool:
@@ -369,13 +363,18 @@ class _WalkCapped(Exception):
         self.nodes = nodes
 
 
-def _extra_copies(values: list[int], length: int, total: int) -> Iterator[tuple[int, ...]]:
+def _extra_copies(
+    values: list[int], length: int, total: int, deadline: float | None = None, nodes: int = 0
+) -> Iterator[tuple[int, ...]]:
     """Every e >= 0 over ``values`` with sum(e) == ``length`` and sum(v * e_v) == ``total``.
 
     All but the last two values are enumerated, each over the range that
     leaves the rest a real solution; the last two then have at most one
     solution, in closed form.  ``values`` are distinct; with none, the one
-    solution is () when ``length`` and ``total`` are both 0.
+    solution is () when ``length`` and ``total`` are both 0.  A call that
+    enumerates reads the ``time.monotonic()`` ``deadline`` first, at every
+    depth, so a solve that finds nothing still stops once it has passed:
+    it raises :class:`_WalkCapped` with the walk's count ``nodes``.
     """
     if not values:
         if length == total == 0:
@@ -391,6 +390,8 @@ def _extra_copies(values: list[int], length: int, total: int) -> Iterator[tuple[
         if not r and 0 <= e <= length:
             yield (e, length - e)
         return
+    if deadline is not None and time.monotonic() > deadline:
+        raise _WalkCapped("time-limit", nodes)
     v, rest = values[0], values[1:]
     lo, hi = min(rest), max(rest)
     # The rest needs (length - e) * lo <= total - e * v <= (length - e) * hi:
@@ -402,7 +403,7 @@ def _extra_copies(values: list[int], length: int, total: int) -> Iterator[tuple[
         else:
             first = max(first, -(b // -a))
     for e in range(first, stop + 1):
-        for tail in _extra_copies(rest, length - e, total - e * v):
+        for tail in _extra_copies(rest, length - e, total - e * v, deadline, nodes):
             yield (e, *tail)
 
 
@@ -456,7 +457,8 @@ def _walk_zero_sum(
 
     Nodes are counted on from ``nodes``, so a search made of several
     walks keeps one count for ``max_nodes``, the ``time.monotonic()``
-    ``deadline`` (checked every 1024 nodes, and at every leaf solution)
+    ``deadline`` (checked every 1024 nodes, at every leaf solution, and
+    at each depth a leaf solve enumerates)
     and ``progress(nodes)`` (every 65536).  Returns the count.  Raises
     :class:`_WalkCapped`, carrying the count so far, when ``max_nodes`` is
     exceeded or the deadline passed.
@@ -509,7 +511,7 @@ def _walk_zero_sum(
             zeros = 0 if free else left
             packed = _add_up_to(packed, value, zeros, height, stride, mask)
             while not packed >> zero_at_height & 1:
-                for extra in _extra_copies(free, left - zeros, -total):
+                for extra in _extra_copies(free, left - zeros, -total, deadline, nodes):
                     if deadline is not None and time.monotonic() > deadline:
                         raise _WalkCapped("time-limit", nodes)
                     terms = {**counts, value: zeros}

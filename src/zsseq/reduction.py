@@ -32,7 +32,7 @@ from math import gcd
 
 from .detect import DEFAULT_MEMORY_LIMIT, build_table
 from .errors import CrossCheckError, PreconditionError
-from .sequences import BoundedSequence, concat, remove, repeat, to_json
+from .sequences import BoundedSequence, concat, remove, repeat
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,6 @@ class BlockX:
     @property
     def length(self) -> int:
         return (self.alpha + self.beta) // self.g
-
-    def to_json_dict(self) -> dict:
-        return to_json(self)
 
 
 @dataclass(frozen=True)
@@ -95,12 +92,6 @@ def build_block(alpha: int, beta: int) -> BlockX:
         {alpha: beta // g, -beta: alpha // g}, bound=max(alpha, beta)
     )
     return BlockX(alpha, beta, g, block)
-
-
-def append_blocks(s: BoundedSequence, x: BlockX, count: int) -> BoundedSequence:
-    if count < 0:
-        raise PreconditionError(f"count must be >= 0, got {count}")
-    return concat(s, repeat(x.block, count))
 
 
 def foreign_count(s: BoundedSequence, x: BlockX) -> int:

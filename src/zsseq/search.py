@@ -28,8 +28,8 @@ from .constants import (
 )
 from .detect import _walk_zero_sum, _WalkCapped, is_t_avoiding
 from .errors import CrossCheckError, PreconditionError
-from .reduction import BlockX, append_blocks, build_block
-from .sequences import BoundedSequence, negate, to_json
+from .reduction import BlockX, build_block
+from .sequences import BoundedSequence, concat, negate, repeat, to_json
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -200,12 +200,12 @@ def enumerate_extremal(
     found has support within {-1, k-1, k} or within {1, -(k-1), -k}; k = 1
     collapses those sets and is flagged ``degenerate``.
     """
-    constant = s_prime_t(k, t)
-    if not constant.is_finite:
+    constant = s_prime_t(k, t).value
+    if constant is None:
         raise PreconditionError(
             f"no finite constant for k={k}, t={t}; extremal length is undefined"
         )
-    target = constant.value - 1
+    target = constant - 1
     result = longest_avoiding(
         k, t, max(target, t), max_nodes=max_nodes, time_limit=time_limit, max_witnesses=None
     )
@@ -306,7 +306,7 @@ def family_generator(
         raise CrossCheckError(f"split {a} + {b} of q={q} is not a coprime pair within [1, {k}]")
     x = build_block(a, b)
     copies = -(-min_length // x.length)
-    seq = append_blocks(BoundedSequence.empty(k), x, copies)
+    seq = concat(BoundedSequence(k), repeat(x.block, copies))
     if not is_t_avoiding(seq, t):  # pragma: no cover - impossible by construction
         raise CrossCheckError(f"family output failed its avoidance re-check for t={t}")
     return FamilySpec(k, t, q, a, b, x), seq

@@ -35,7 +35,7 @@ from .constants import davenport_subset
 from .detect import brute_force_pairs, build_table, spectrum
 from .errors import CrossCheckError
 from .reduction import build_block, foreign_count, reduce_fixpoint, reduce_step, strip_blocks
-from .sequences import BoundedSequence, concat, remove, repeat, sign_partition, to_json
+from .sequences import BoundedSequence, concat, remove, repeat, to_json
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,9 @@ def _sign_ratio_bounds(seed: int, scale: float) -> SuiteResult:
     def check(i: int) -> str | None:
         k = rng.randint(1, 5)
         s = random_zero_sum_sequence(rng, k, 40)
-        parts = sign_partition(s)
-        for side in (parts.positive, parts.negative):
-            if (k + 1) * side.length > k * s.length:
-                return f"sign class {side} of {s} exceeds k/(k+1) of the length"
+        for side in (sum(m for v, m in s.terms if v > 0), sum(m for v, m in s.terms if v < 0)):
+            if (k + 1) * side > k * s.length:
+                return f"a sign class of {s} holds {side} elements, over k/(k+1) of the length"
         return None
 
     return _suite("sign_ratio_bounds", _scaled(10_000, scale), check)

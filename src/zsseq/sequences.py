@@ -69,10 +69,6 @@ class BoundedSequence:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def empty(cls, bound: int = 1) -> "BoundedSequence":
-        return cls(bound, ())
-
-    @classmethod
     def from_terms(
         cls,
         terms: Mapping[int, int] | Iterable[tuple[int, int]],
@@ -151,15 +147,6 @@ def to_json(value):
     return value
 
 
-@dataclass(frozen=True)
-class SignPartition:
-    """Split of a sequence into positive part, negative part, and zero count."""
-
-    positive: BoundedSequence
-    negative: BoundedSequence
-    zeros: int
-
-
 def parse_sequence(text: str, bound: int | None = None) -> BoundedSequence:
     """Parse the text grammar; with ``bound`` given, values are checked against it."""
     stripped = re.sub(r"\s+", "", text)
@@ -221,16 +208,6 @@ def remove(s: BoundedSequence, t: BoundedSequence) -> BoundedSequence:
     for value, mult in t.terms:
         acc[value] -= mult
     return BoundedSequence.from_terms(acc, s.bound)
-
-
-def sign_partition(s: BoundedSequence) -> SignPartition:
-    pos = tuple((v, m) for v, m in s.terms if v > 0)
-    neg = tuple((v, m) for v, m in s.terms if v < 0)
-    return SignPartition(
-        positive=BoundedSequence(s.bound, pos),
-        negative=BoundedSequence(s.bound, neg),
-        zeros=s.multiplicity(0),
-    )
 
 
 def negate(s: BoundedSequence) -> BoundedSequence:

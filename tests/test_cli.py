@@ -106,6 +106,14 @@ def test_domain_error_exit_code_and_envelope(run):
     assert err.startswith("error:")
 
 
+# What stderr says where the exit code alone would not show which check refused the input.
+USAGE_MESSAGES = {
+    ("constant", "--k", "abc", "--t", "6"): "expected an integer, got 'abc'",
+    ("search-longest", "--k", "2", "--t", "6", "--ceiling", "12", "--time-limit", "abc"):
+        "expected a number, got 'abc'",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -125,12 +133,16 @@ def test_domain_error_exit_code_and_envelope(run):
         # neither command builds a kernel table, so neither takes a memory cap
         ["strip", "--seq", "1^2,-1^2", "--alpha", "1", "--beta", "1", "--memory-limit", "5"],
         ["complete-block", "--seq", "1^2", "--alpha", "1", "--beta", "1", "--memory-limit", "5"],
+        ["constant", "--k", "abc", "--t", "6"],
+        ["search-longest", "--k", "2", "--t", "6", "--ceiling", "12", "--time-limit", "abc"],
     ],
 )
-def test_usage_errors_exit_2(run, argv):
+def test_usage_errors_exit_2(run, argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
+    assert USAGE_MESSAGES.get(tuple(argv), "error:") in capsys.readouterr().err
+
 
 
 def test_node_cap_exit_3_incomplete(run):

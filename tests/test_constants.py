@@ -81,14 +81,14 @@ def test_failing_prime_power_is_smallest(k, t):
 )
 def test_constant_finite_values(k, t, value):
     result = s_prime_t(k, t)
-    assert result.is_finite
+    assert result.value is not None
     assert result.value == value
     assert result.to_json_value() == value
 
 
 def test_constant_infinite():
     result = s_prime_t(2, 7)
-    assert not result.is_finite
+    assert result.value is None
     assert str(result) == "infinite"
     assert result.to_json_value() == "infinite"
 

@@ -232,6 +232,8 @@ def test_memory_cap_refusal():
     s = parse_sequence("1^100000,-1^100000")
     with pytest.raises(ResourceLimitError):
         spectrum(s, memory_limit=10_000)
+    with pytest.raises(PreconditionError):
+        build_table(s, -1)
 
 
 def test_estimate_grows_with_length():
@@ -265,6 +267,9 @@ def test_iter_zero_sum_sequences_matches_filtered_enumeration():
         assert all(s.length == length and s.sigma == 0 for s in found)
         # documented order: ascending terms
         assert found == sorted(expected, key=lambda s: s.terms)
+    for k, length in ((0, 3), (2, -1)):
+        with pytest.raises(PreconditionError):
+            iter_zero_sum_sequences(k, length)
 
 
 def random_sequence(rng, k, n, zero_sum):
@@ -277,6 +282,26 @@ def random_sequence(rng, k, n, zero_sum):
             elements[i] += step
             total += step
     return BoundedSequence.from_elements(elements, bound=k)
+
+
+def test_each_layer_is_the_table_of_its_value_prefix():
+    rng = random.Random(20261019)
+    for trial in range(120):
+        k = 1 + trial % 5
+        s = random_sequence(rng, k, rng.randint(0, 30), zero_sum=trial % 2 == 0)
+        table = build_table(s, rng.randint(0, s.length))
+        assert build_table(s, table.max_length, keep_layers=False).layers == ()
+        assert len(table.layers) == len(s.terms)
+        for i, layer in enumerate(table.layers):
+            prefix = BoundedSequence(s.bound, s.terms[: i + 1])
+            assert layer == build_table(prefix, table.max_length), (s, i)
+            # Witnesses on both sides of the layer, the mirrored ones included.
+            for length in range(prefix.length + 1):
+                for total in (0, prefix.sigma - 1, 1):
+                    found = layer.witness(length, total)
+                    if found is not None:
+                        assert is_subsequence(found, prefix), (s, i, length, total)
+                        assert (found.length, found.sigma) == (length, total)
 
 
 def test_short_side_witness_equals_the_full_height_witness():

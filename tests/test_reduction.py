@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from zsseq import (
     PreconditionError,
-    append_blocks,
     build_block,
     build_table,
     complete_block,
@@ -56,7 +55,7 @@ def test_foreign_count():
 def test_append_blocks_grows_by_whole_blocks():
     x = build_block(3, 2)
     s = parse_sequence("1^1,-1^1")
-    grown = append_blocks(s, x, 4)
+    grown = concat(s, repeat(x.block, 4))
     assert grown.length == s.length + 4 * x.length
     assert grown.sigma == 0
 
@@ -67,7 +66,7 @@ def test_append_preserves_avoidance_when_block_values_are_abundant():
     s = parse_sequence("2^5,-1^10")
     x = build_block(2, 1)
     assert is_t_avoiding(s, 7)
-    assert is_t_avoiding(append_blocks(s, x, 10), 7)
+    assert is_t_avoiding(concat(s, repeat(x.block, 10)), 7)
 
 
 def test_append_can_break_avoidance_without_abundance():
@@ -76,8 +75,8 @@ def test_append_can_break_avoidance_without_abundance():
     s = parse_sequence("2^1,-2^1")
     x = build_block(1, 1)
     assert is_t_avoiding(s, 3)
-    assert is_t_avoiding(append_blocks(s, x, 1), 3)
-    assert not is_t_avoiding(append_blocks(s, x, 2), 3)
+    assert is_t_avoiding(concat(s, repeat(x.block, 1)), 3)
+    assert not is_t_avoiding(concat(s, repeat(x.block, 2)), 3)
 
 
 def test_reduce_step_worked_example():

@@ -163,6 +163,18 @@ def test_walk_reads_the_clock_on_the_count_carried_across_walks():
     assert (capped.value.reason, capped.value.nodes) == ("time-limit", 1023)
 
 
+def test_an_empty_leaf_solve_reads_the_clock():
+    # This solve of four free values finds nothing, in about 0.35 s without
+    # a deadline; a past deadline stops it at once, with the walk's count.
+    solve = zsseq.detect._extra_copies
+    start = time.monotonic()
+    with pytest.raises(zsseq.detect._WalkCapped) as capped:
+        list(solve([5, -4, 2, -1], 2490, -20, deadline=start - 1, nodes=7))
+    assert time.monotonic() - start < 0.05
+    assert (capped.value.reason, capped.value.nodes) == ("time-limit", 7)
+    assert list(solve([5, -4, 2, -1], 2490, -20)) == []
+
+
 def test_extremal_time_cap_stops_the_leaf_solve():
     # 19 nodes and 120,600 sequences: only the clock read at each leaf
     # built can stop this walk.

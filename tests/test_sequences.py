@@ -16,7 +16,6 @@ from zsseq import (
     parse_sequence,
     remove,
     repeat,
-    sign_partition,
 )
 from zsseq.sequences import parse_integers
 
@@ -121,6 +120,8 @@ def test_direct_construction_validates():
         BoundedSequence(0, ())
     with pytest.raises(SequenceBoundError):
         BoundedSequence(2, ((1, 1), (1, 2)))  # not strictly ascending
+    with pytest.raises(SequenceBoundError):
+        BoundedSequence(2, ((1, 0),))  # zero multiplicity
 
 
 def test_overflow_guards():
@@ -159,15 +160,6 @@ def test_negate_involution(terms):
     s = seq_of(terms)
     assert negate(negate(s)) == s
     assert negate(s).sigma == -s.sigma
-
-
-def test_sign_partition_splits_everything():
-    s = parse_sequence("2^2,0^3,-1^4")
-    parts = sign_partition(s)
-    assert parts.positive.terms == ((2, 2),)
-    assert parts.negative.terms == ((-1, 4),)
-    assert parts.zeros == 3
-    assert parts.positive.length + parts.negative.length + parts.zeros == s.length
 
 
 @pytest.mark.parametrize("count,length", [(0, 0), (1, 3), (4, 12)])
