@@ -334,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--time-limit",
         type=_finite_float,
         default=None,
-        help="stop after this many seconds; also checked at each sequence a leaf builds",
+        help="stop after this many seconds: the walk, its leaves, and the re-check of each found",
     )
 
     parser = argparse.ArgumentParser(

@@ -72,6 +72,9 @@ from .sequences import BoundedSequence, negate
 #: Default cap on the estimated table payload, in bytes (1 GiB).
 DEFAULT_MEMORY_LIMIT = 1 << 30
 
+#: Largest k a walk accepts: it recurses 2k + 1 deep, within Python's default limit of 1000.
+WALK_MAX_K = 400
+
 # Rough per-row allowance used in the estimate; Python ints are not flat
 # words, and each packed row also carries its pad bits.
 _ROW_OVERHEAD = 48
@@ -427,13 +430,13 @@ def _walk_zero_sum(
     it avoids t exactly when it avoids length - t, and so exactly when it
     avoids h = min(t, length - t).  A zero-sum piece of length h takes at
     most h copies of any value, so that depends only on the capped profile
-    c_v = min(mult_v, h).  The walk fixes a capped profile value by value:
-    |value| descending, positive before negative, 0 last.  A non-zero
-    value takes an exact count 0 .. h - 1, or h, which means "h or more"
-    and makes the value free.  0 is never free, since h zeros contain a
-    zero-sum of length h; it takes 0 .. h - 1 copies, or what is left
-    when no value is free.  With length <= t, h = 0 caps nothing: no value
-    is free, and every count is exact.
+    c_v = min(mult_v, h).  The walk's one state, ``profile``, is the count
+    fixed at each position of k, -k, k - 1, ..., 1, -1, 0.  A non-zero
+    value takes an exact count 0 .. h - 1, or last h, "h or more", which
+    makes it free: the free values are the positions holding h.  0 is
+    never free, since h zeros contain a zero-sum of length h; it takes
+    0 .. h - 1 copies, or what is left when no value is free.  With
+    length <= t, h = 0 caps nothing: no value is free, every count exact.
 
     The kernel rows of lengths <= h are carried along the branch as one
     packed int, extended one copy at a time (a node rebinds it, so nothing
@@ -450,9 +453,9 @@ def _walk_zero_sum(
     and sum, so s avoids t exactly when -s does, and the walk visits one
     sign of each pair of profiles: at the first a (from k down) whose
     capped count differs from that of -a, the count of a is the larger.
-    While every pair fixed so far is tied, -a takes at most as many copies
-    as a.  Negation maps the solutions of a profile onto those of its
-    negation, so each leaf s is passed to ``on_leaf`` and then its mirror
+    While every pair fixed so far is tied, -a takes at most the count of
+    a, one position back.  Negation maps the solutions of a profile onto its
+    negation's, so each leaf s is passed to ``on_leaf`` and then its mirror
     -s, or s alone when the profile is tied throughout.
 
     Nodes are counted on from ``nodes``, so a search made of several
@@ -461,8 +464,11 @@ def _walk_zero_sum(
     at each depth a leaf solve enumerates)
     and ``progress(nodes)`` (every 65536).  Returns the count.  Raises
     :class:`_WalkCapped`, carrying the count so far, when ``max_nodes`` is
-    exceeded or the deadline passed.
+    exceeded or the deadline passed, and :class:`PreconditionError` for k
+    above :data:`WALK_MAX_K`.
     """
+    if k > WALK_MAX_K:
+        raise PreconditionError(f"k must be <= {WALK_MAX_K} for an exhaustive walk, got {k}")
     order = [v for a in range(k, 0, -1) for v in (a, -a)] + [0]
     last = len(order) - 1
     # Range of the values after index i; every remaining slot takes one.
@@ -476,9 +482,8 @@ def _walk_zero_sum(
     zero_at_height = height * stride + offset
     # A count of ``cap`` makes a value free; with no rows, no count reaches it.
     cap = height or length + 1
-
-    counts: dict[int, int] = {}
-    free: list[int] = []
+    # The count fixed at each position of ``order`` but 0's, the last; 0 past the current node.
+    profile = [0] * last
 
     checkpoint = 0  # the first node takes the slow path, which sets the next checkpoint
 
@@ -497,15 +502,15 @@ def _walk_zero_sum(
             checkpoint = max_nodes + 1
 
     def descend(
-        i: int, filled: int, total: int, packed: int, tied: bool, free_lo: int, free_hi: int
+        i: int, left: int, total: int, packed: int, tied: bool, free_lo: int, free_hi: int
     ) -> None:
         nonlocal nodes
         nodes += 1
         if nodes >= checkpoint:
             at_checkpoint()
         value = order[i]
-        left = length - filled
         if i == last:
+            free = [v for v, c in zip(order, profile) if c == cap]
             # With no value free the window one level up leaves one way to
             # finish, all that is left; otherwise 0 takes any count below cap.
             zeros = 0 if free else left
@@ -514,9 +519,8 @@ def _walk_zero_sum(
                 for extra in _extra_copies(free, left - zeros, -total, deadline, nodes):
                     if deadline is not None and time.monotonic() > deadline:
                         raise _WalkCapped("time-limit", nodes)
-                    terms = {**counts, value: zeros}
-                    for v, e in zip(free, extra):
-                        terms[v] = cap + e
+                    # from_terms drops zero counts and adds each extra to its value's cap.
+                    terms = [*zip(order, profile), (value, zeros), *zip(free, extra)]
                     leaf = BoundedSequence.from_terms(terms, k)
                     on_leaf(leaf)
                     if not tied:
@@ -529,16 +533,24 @@ def _walk_zero_sum(
         # A free value bounds every later one, whose |value| is smaller.
         lo = free_lo or later_lo[i]
         hi = free_hi or later_hi[i]
-        # Sign cut: while every pair so far is tied, -a takes at most as many copies as a.
-        partner = counts.get(-value, 0) if tied and value < 0 else None
+        # Sign cut: while every pair so far is tied, -a (right after a) takes at most a's count.
+        partner = profile[i - 1] if tied and value < 0 else None
         most = left if partner is None or partner > left else partner
+        if most > cap:
+            most = cap
         step = stride + value
-        for copies in range(most + 1 if most < cap else cap):
+        # Counts 0 .. cap - 1 are exact; the last, cap, is the free copy "cap or more".
+        for copies in range(most + 1):
             if copies:
                 packed |= packed << step & mask  # one copy: the shift-or-mask of _add_up_to
                 if packed >> zero_at_height & 1:
                     break  # now containing; more copies stay containing
-                counts[value] = copies
+                profile[i] = copies
+                if copies == cap:  # a free value widens the window on its own side
+                    if value > 0:
+                        free_hi = hi = free_hi or value
+                    else:
+                        free_lo = lo = free_lo or value
             new_total = total + copies * value
             rest = left - copies
             # 0 is still to come, so lo <= 0 <= hi: each copy of a positive
@@ -547,29 +559,10 @@ def _walk_zero_sum(
                 break  # past the window; more copies stay past it
             if new_total + rest * lo <= 0 <= new_total + rest * hi:
                 descend(
-                    i + 1, filled + copies, new_total, packed,
+                    i + 1, rest, new_total, packed,
                     tied and (value > 0 or copies == partner), free_lo, free_hi,
                 )
-        else:
-            # Then the free copy, "cap or more": it widens the window on its own side.
-            if most >= cap:
-                packed |= packed << step & mask
-                if not packed >> zero_at_height & 1:
-                    counts[value] = cap
-                    new_total = total + cap * value
-                    rest = left - cap
-                    if value > 0:
-                        free_hi = hi = free_hi or value
-                    else:
-                        free_lo = lo = free_lo or value
-                    if new_total + rest * lo <= 0 <= new_total + rest * hi:
-                        free.append(value)
-                        descend(
-                            i + 1, filled + cap, new_total, packed,
-                            tied and (value > 0 or cap == partner), free_lo, free_hi,
-                        )
-                        free.pop()
-        counts.pop(value, None)
+        profile[i] = 0
 
-    descend(0, 0, 0, 1 << offset & mask, True, 0, 0)
+    descend(0, length, 0, 1 << offset & mask, True, 0, 0)
     return nodes

@@ -93,9 +93,11 @@ def longest_avoiding(
     contains itself) and stops at the first with an avoiding sequence;
     ``witnesses`` holds those ascending by ``terms``, or the first
     ``max_witnesses`` of them, so a capped list is a prefix of the full one.
-    ``max_nodes`` and ``time_limit`` bound the whole search; a negative cap
-    or a time limit that is not finite is refused.  ``exhaustive`` is True
-    only if no cap was hit and the maximum is below the ceiling.
+    ``max_nodes`` and ``time_limit`` bound the whole search, the time limit
+    the kernel re-check too: past it, only the witnesses re-checked so far
+    are kept.  A negative cap or a time limit that is not finite is
+    refused.  ``exhaustive`` is True only if no cap was hit and the maximum
+    is below the ceiling.
 
     top is the ceiling, or c + L - 1 if lower, with c the constant
     (:func:`~zsseq.constants.s_prime_t`) when it is finite and L the
@@ -164,9 +166,13 @@ def longest_avoiding(
             break
 
     keep_first()
-    for w in witnesses:
+    for i, w in enumerate(witnesses, 1):
         if w.sigma != 0 or not is_t_avoiding(w, t):
             raise CrossCheckError(f"search produced an invalid witness: {w}")
+        if deadline is not None and time.monotonic() > deadline:
+            del witnesses[i:]  # keep the re-checked prefix only
+            stop_reason = "time-limit"
+            break
     if constant is not None and best >= constant:
         raise CrossCheckError(
             f"found a zero-sum {t}-avoider of length {best} over [-{k}, {k}], "

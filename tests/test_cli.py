@@ -298,6 +298,23 @@ def test_lemma42_empty(run):
     assert doc["payload"] == {"count": 0, "flagged": []}
 
 
+def test_lemma42_flagged_lines(run, monkeypatch):
+    monkeypatch.setattr(zsseq.search, "_lemma42_margin", lambda k, alpha, beta: 0)
+    code, out, _ = run("lemma42")
+    assert code == 0 and out.startswith("flagged: [[4, 1, 2], [4, 2, 2], ")
+    assert out.endswith(", [6, 6, 6]]\n")
+    code, doc, _ = run_json(run, "lemma42")
+    assert code == 0 and doc["payload"]["count"] == 62
+
+
+def test_walk_past_the_k_bound_is_a_domain_error(run):
+    code, out, err = run("search-longest", "--k", "500", "--t", "6", "--ceiling", "7")
+    assert code == 1 and out == ""
+    assert err == "error: k must be <= 400 for an exhaustive walk, got 500\n"
+    code, doc, err = run_json(run, "search-longest", "--k", "500", "--t", "6", "--ceiling", "7")
+    assert code == 1 and doc["status"] == "error" and err.startswith("error: k must be <= 400")
+
+
 def test_lcm_check(run):
     assert run("lcm-check", "--k", "5")[1] == "holds: true\n"
     assert run("lcm-check", "--k", "4")[1] == "holds: false\n"

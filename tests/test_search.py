@@ -186,6 +186,62 @@ def test_extremal_time_cap_stops_the_leaf_solve():
         assert s.length == 1201 and s.sigma == 0
 
 
+def test_time_limit_covers_the_recheck():
+    # The walk stops on the clock with about 60,000 sequences found; the
+    # kernel re-check of them reads the same deadline, so the call returns
+    # soon after it, with the re-checked ones only.
+    start = time.monotonic()
+    report = enumerate_extremal(2, 1200, time_limit=1.0)
+    assert time.monotonic() - start < 1.5
+    assert not report.exhaustive
+    assert report.sequences
+    for s in report.sequences:
+        assert s.length == 1201 and s.sigma == 0 and is_t_avoiding(s, 1200)
+
+
+def test_a_recheck_past_the_deadline_keeps_the_rechecked_prefix(monkeypatch):
+    # The walk takes milliseconds; each re-check is slowed to 0.1 s, so the
+    # 0.25 s limit passes during the re-check, after the third.
+    checked = []
+
+    def slow_check(s, t):
+        time.sleep(0.1)
+        checked.append(s)
+        return is_t_avoiding(s, t)
+
+    full = longest_avoiding(2, 6, 12).witnesses
+    monkeypatch.setattr(zsseq.search, "is_t_avoiding", slow_check)
+    result = longest_avoiding(2, 6, 12, time_limit=0.25)
+    assert result.stop_reason == "time-limit" and not result.exhaustive
+    assert result.best_length == 7
+    assert 1 <= len(result.witnesses) < len(full)
+    assert list(result.witnesses) == checked == list(full[: len(checked)])
+
+
+def test_k5_walks_stop_on_the_clock():
+    # Their first walks, n = 2530 and n = 2539 at t = 2520, have leaf solves
+    # over up to 2k - 2 free values; the clock stops each about 0.05 s in.
+    start = time.monotonic()
+    result = longest_avoiding(5, 2520, 2530, time_limit=0.05)
+    assert time.monotonic() - start < 0.5 and result.stop_reason == "time-limit"
+    start = time.monotonic()
+    report = enumerate_extremal(5, 2520, time_limit=0.05)
+    assert time.monotonic() - start < 0.5 and not report.exhaustive
+
+
+def test_walks_refuse_k_past_the_recursion_bound():
+    assert zsseq.detect.WALK_MAX_K == 400
+    with pytest.raises(PreconditionError, match="k must be <= 400"):
+        longest_avoiding(401, 6, 7)
+    with pytest.raises(PreconditionError, match="k must be <= 400"):
+        longest_avoiding(500, 6, 7)
+    with pytest.raises(PreconditionError, match="k must be <= 400"):
+        list(iter_zero_sum_sequences(500, 2))
+    # The largest k accepted walks 801 deep and stops on its node cap.
+    result = longest_avoiding(400, 6, 7, max_nodes=1000)
+    assert result.stop_reason == "node-limit" and result.nodes_explored == 1000
+
+
 def test_longest_avoiding_witness_cap():
     result = longest_avoiding(2, 6, 12, max_witnesses=2)
     assert result.best_length == 7
@@ -511,6 +567,21 @@ def test_family_generator_refuses_finite_cases():
         family_generator(2, 6, 100)
     with pytest.raises(PreconditionError):
         family_generator(2, 7, 0)
+
+
+def test_frobenius_avoidance_raises_when_kernel_and_closed_form_disagree(monkeypatch):
+    s = parse_sequence("3^14,2^3,-1^48")
+    monkeypatch.setattr(zsseq.search, "is_t_avoiding", lambda s, t: not is_t_avoiding(s, t))
+    with pytest.raises(CrossCheckError, match="kernel and closed form disagree on t=60"):
+        verify_frobenius_avoidance(3, 60, s)
+
+
+def test_lemma42_search_reports_every_triple_with_a_nonnegative_margin(monkeypatch):
+    monkeypatch.setattr(zsseq.search, "_lemma42_margin", lambda k, alpha, beta: 0)
+    flagged = lemma42_search()
+    # (k - 1) * k triples for each k in 4..6, in k, beta, alpha order.
+    assert len(flagged) == 12 + 20 + 30
+    assert flagged[:3] == [(4, 1, 2), (4, 2, 2), (4, 3, 2)] and flagged[-1] == (6, 6, 6)
 
 
 def test_lemma42_margin_sample():
