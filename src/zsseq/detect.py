@@ -51,12 +51,13 @@ Every exhaustive walk over zero-sum multisets in [-k, k] goes through one
 walker, :func:`_walk_zero_sum`, whose leaves are the multisets that avoid
 a length t.  Every walk carries a packed kernel table along a branch to
 test that.  The rows stop at height h = min(t, length - t), so the walk
-fixes capped multiplicities: a count of h stands for every count from h
-up, and the multisets of one capped profile are the solutions of two
-linear equations in the extra copies.  The enumeration here asks for
-t = length + 1, which no multiset of that length contains, so its walk
-carries the empty table, caps nothing, and every zero-sum multiset is a
-leaf.
+fixes capped multiplicities: a zero-sum piece of length h holds at most
+m_v = floor(k * h / (k + |v|)) copies of v, so a count of m_v (at least
+1) stands for every count from there up, and the multisets of one capped
+profile are the solutions of two linear equations in the extra copies.
+The enumeration here asks for t = length + 1, which no multiset of that
+length contains, so its walk carries the empty table, caps nothing, and
+every zero-sum multiset is a leaf.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from math import gcd
 from typing import Iterator
 
 from .errors import CrossCheckError, PreconditionError, ResourceLimitError
@@ -378,6 +380,14 @@ def _extra_copies(
     enumerates reads the ``time.monotonic()`` ``deadline`` first, at every
     depth, so a solve that finds nothing still stops once it has passed:
     it raises :class:`_WalkCapped` with the walk's count ``nodes``.
+
+    Then it returns at once when no solution can exist by residues: with
+    v the first value, any solution has sum((u - v) * e_u) == total -
+    v * length over the rest, so gcd(u - v) must divide the right side.
+    In the walk at (k, length, t) = (5, 2530, 2520), 142 of the 144 calls
+    that enumerate end here.  A total outside [min(values) * length,
+    max(values) * length] needs no test of its own: the range of e below
+    is then empty, and it is what keeps every deeper call's total in range.
     """
     if not values:
         if length == total == 0:
@@ -396,6 +406,8 @@ def _extra_copies(
     if deadline is not None and time.monotonic() > deadline:
         raise _WalkCapped("time-limit", nodes)
     v, rest = values[0], values[1:]
+    if (total - v * length) % gcd(*(u - v for u in rest)):
+        return
     lo, hi = min(rest), max(rest)
     # The rest needs (length - e) * lo <= total - e * v <= (length - e) * hi:
     # two bounds e * a <= b on e, with a != 0 since v is not in the rest.
@@ -428,26 +440,32 @@ def _walk_zero_sum(
 
     The rest of a zero-sum multiset after a zero-sum piece is zero-sum, so
     it avoids t exactly when it avoids length - t, and so exactly when it
-    avoids h = min(t, length - t).  A zero-sum piece of length h takes at
-    most h copies of any value, so that depends only on the capped profile
-    c_v = min(mult_v, h).  The walk's one state, ``profile``, is the count
-    fixed at each position of k, -k, k - 1, ..., 1, -1, 0.  A non-zero
-    value takes an exact count 0 .. h - 1, or last h, "h or more", which
-    makes it free: the free values are the positions holding h.  0 is
-    never free, since h zeros contain a zero-sum of length h; it takes
-    0 .. h - 1 copies, or what is left when no value is free.  With
-    length <= t, h = 0 caps nothing: no value is free, every count exact.
+    avoids h = min(t, length - t).  m copies of v in a zero-sum piece of
+    length h need the other h - m elements, each of |value| <= k, to
+    cancel m * v, so m <= m_v = k * h // (k + |v|), and some zero-sum
+    multiset of length h reaches m_v.  So avoidance depends only on the
+    capped profile c_v = min(mult_v, m_v).  m_0 = h, and v and -v share
+    a cap.  The walk's one state, ``profile``, is the count fixed at each
+    position of k, -k, k - 1, ..., 1, -1, 0, and ``vcap`` holds the cap of
+    each position, floored at 1: at h = 1 every m_v with v != 0 is 0, and
+    such a value takes 0 or "1 or more".  A non-zero value takes an exact
+    count 0 .. cap - 1, or last its cap, "cap or more", which makes it
+    free: the free values are the positions holding their cap.  0 is never
+    free, since h zeros contain a zero-sum of length h; it takes 0 .. h - 1
+    copies, or what is left when no value is free.  With length <= t,
+    h = 0 caps nothing: no value is free, every count exact.
 
     The kernel rows of lengths <= h are carried along the branch as one
     packed int, extended one copy at a time (a node rebinds it, so nothing
-    is copied); the rows saturate at h copies, so a free value is rows of
-    h copies.  A branch is cut the moment it contains a zero-sum of length
-    h, and once the free values and the values still to come cannot fill
-    the remaining length and cancel the partial sum (a free value widens
-    both bounds, and bounds every later value, whose |value| is smaller).
-    At a leaf, with F and T the profile's length and sum counting each
-    free value at h, every solution e >= 0 of sum(e_v) = length - F and
-    sum(v * e_v) = -T over the free values is a leaf multiset.
+    is copied); a free value enters them with its cap's copies, which row
+    h's zero-sum bit cannot tell from more.  A branch is cut the moment it
+    contains a zero-sum of length h, and once the free values and the
+    values still to come cannot fill the remaining length and cancel the
+    partial sum (a free value widens both bounds, and bounds every later
+    value, whose |value| is smaller).  At a leaf, with F and T the
+    profile's length and sum counting each free value at its cap, every
+    solution e >= 0 of sum(e_v) = length - F and sum(v * e_v) = -T over
+    the free values is a leaf multiset.
 
     Negation maps [-k, k] onto itself and keeps every subsequence's length
     and sum, so s avoids t exactly when -s does, and the walk visits one
@@ -480,8 +498,11 @@ def _walk_zero_sum(
     if length < t:
         mask = 0  # the empty table: it starts at 0, and no shift fills it
     zero_at_height = height * stride + offset
-    # A count of ``cap`` makes a value free; with no rows, no count reaches it.
-    cap = height or length + 1
+    # A count of ``vcap[i]`` makes the value at i free; with no rows, no count reaches it.
+    if height:
+        vcap = [max(k * height // (k + abs(v)), 1) for v in order]
+    else:
+        vcap = [length + 1] * len(order)
     # The count fixed at each position of ``order`` but 0's, the last; 0 past the current node.
     profile = [0] * last
 
@@ -510,9 +531,9 @@ def _walk_zero_sum(
             at_checkpoint()
         value = order[i]
         if i == last:
-            free = [v for v, c in zip(order, profile) if c == cap]
+            free = [v for v, c, m in zip(order, profile, vcap) if c == m]
             # With no value free the window one level up leaves one way to
-            # finish, all that is left; otherwise 0 takes any count below cap.
+            # finish, all that is left; otherwise 0 takes any count below h.
             zeros = 0 if free else left
             packed = _add_up_to(packed, value, zeros, height, stride, mask)
             while not packed >> zero_at_height & 1:
@@ -527,7 +548,7 @@ def _walk_zero_sum(
                         on_leaf(negate(leaf))
                 if zeros == left:
                     break
-                zeros += 1  # at most cap - 1 times: cap zeros contain
+                zeros += 1  # at most h - 1 times: h zeros contain
                 packed |= packed << stride & mask
             return
         # A free value bounds every later one, whose |value| is smaller.
@@ -536,6 +557,7 @@ def _walk_zero_sum(
         # Sign cut: while every pair so far is tied, -a (right after a) takes at most a's count.
         partner = profile[i - 1] if tied and value < 0 else None
         most = left if partner is None or partner > left else partner
+        cap = vcap[i]
         if most > cap:
             most = cap
         step = stride + value

@@ -410,19 +410,19 @@ def test_time_limit_not_reached_changes_nothing(run):
 # Exit code and sha256 of the --json stdout for a fixed set of inputs;
 # any change to an answer, its field order or its exit code shows up here,
 # and so does a change to ``nodes_explored`` in cases 0-4.  Case 4's cap
-# stops the 1,608-node k=3, t=60 walk after 2 of its 10 sequences, so it
-# pins an incomplete payload.
+# stops the 356-node k=3, t=60 walk after the leaf solve that builds its
+# 10 sequences, so it pins an incomplete payload.
 GOLDEN_JSON = [
     (["search-longest", "--k", "2", "--t", "6", "--ceiling", "12"], 0,
-     "4f6a1b47115a60129b3e9fe4d02a61cb90ff7a0e60a9e5efa06e05f39554fea3"),
+     "39c861c64e14dae56b0bf13b6ddab1e6cded0696165298d49a074567edb8c4ce"),
     (["search-longest", "--k", "3", "--t", "8", "--ceiling", "16"], 0,
-     "2a3380b3206f854e0afbe70ad5efd3535dcd52351250bda228bcff1314c10f66"),
+     "dd821707cd359266863afb4a0e3eec88474aeb58ad3118a2432a01e285f7b45b"),
     (["search-longest", "--k", "2", "--t", "6", "--ceiling", "12", "--max-nodes", "5"], 3,
      "2025383fe8f90a5bfa8479b873706eb3484d737cad8c87fd53e0bba531dd55bc"),
     (["extremal", "--k", "2", "--t", "12"], 0,
      "d63440c08f4b754957f9adec33218aaa301a8bac0d93ef3fca4ad6f710384020"),
-    (["extremal", "--k", "3", "--t", "60", "--max-nodes", "1000"], 3,
-     "4840cd75aa478ea72d487e7b9e0e1ce37ec97d56a8fd32bbc71cdc6a2376ab1d"),
+    (["extremal", "--k", "3", "--t", "60", "--max-nodes", "300"], 3,
+     "e59542ddb33803d6392d2cf5f033f2171a0161e87909e9c7f3fe8f07677dd51f"),
     (["check", "--seq", "2^2,1^3,-1^5,-2^1", "--t", "4"], 0,
      "7c2823b84732c37d582765fd65adce09179d87ff6eab89c89e203b2e2f065370"),
     (["check", "--seq", "1^3,-1^3", "--t", "3"], 0,

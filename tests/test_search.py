@@ -127,13 +127,13 @@ def test_longest_avoiding_node_cap():
 
 def test_longest_avoiding_node_cap_spans_walks():
     full = longest_avoiding(2, 24, 34)
-    assert full.exhaustive and full.nodes_explored == 166
-    # the walks at 28, 27, 26 and 25 take 74, 54, 19 and 19 nodes, so
+    assert full.exhaustive and full.nodes_explored == 82
+    # the walks at 28, 27, 26 and 25 take 32, 20, 11 and 19 nodes, so
     # this cap stops the last of them
-    capped = longest_avoiding(2, 24, 34, max_nodes=150)
+    capped = longest_avoiding(2, 24, 34, max_nodes=70)
     assert capped.stop_reason == "node-limit"
     assert not capped.exhaustive
-    assert capped.nodes_explored == 150
+    assert capped.nodes_explored == 70
     assert longest_avoiding(2, 24, 34, max_nodes=full.nodes_explored) == full
 
 
@@ -145,7 +145,7 @@ def test_longest_avoiding_time_cap():
 
 
 def test_longest_avoiding_time_cap_spans_walks():
-    # The whole search is 166 nodes, fewer than the 1024 between two clock
+    # The whole search is 82 nodes, fewer than the 1024 between two clock
     # reads of the node count; the walk at 25 reads it at each leaf it builds.
     result = longest_avoiding(2, 24, 34, time_limit=0.0)
     assert result.stop_reason == "time-limit"
@@ -153,19 +153,19 @@ def test_longest_avoiding_time_cap_spans_walks():
 
 
 def test_walk_reads_the_clock_on_the_count_carried_across_walks():
-    # The walk at 28 is 74 nodes and has no leaf: counted on from 1,000 it
+    # The walk at 28 is 32 nodes and has no leaf: counted on from 1,000 it
     # reaches node 1,024, where the clock is read; counted on from 900 it
     # does not, and the past deadline goes unread.
     walk = zsseq.detect._walk_zero_sum
-    assert walk(2, 28, lambda s: None, 24, deadline=0.0, nodes=900) == 974
+    assert walk(2, 28, lambda s: None, 24, deadline=0.0, nodes=900) == 932
     with pytest.raises(zsseq.detect._WalkCapped) as capped:
         walk(2, 28, lambda s: None, 24, deadline=0.0, nodes=1000)
     assert (capped.value.reason, capped.value.nodes) == ("time-limit", 1023)
 
 
 def test_an_empty_leaf_solve_reads_the_clock():
-    # This solve of four free values finds nothing, in about 0.35 s without
-    # a deadline; a past deadline stops it at once, with the walk's count.
+    # This solve of four free values finds nothing; the deadline is read
+    # before anything else, so a past one stops it, with the walk's count.
     solve = zsseq.detect._extra_copies
     start = time.monotonic()
     with pytest.raises(zsseq.detect._WalkCapped) as capped:
@@ -286,8 +286,8 @@ def test_longest_avoiding_starts_at_the_top_of_the_window():
     # c = 14 and L = 3: the empty walks at 16, 15 and 14 rule out every
     # longer length, and the walk at 13 finds the 18 witnesses.
     walks = [zsseq.detect._walk_zero_sum(2, n, lambda s: None, 12) for n in (16, 15, 14, 13)]
-    assert sum(walks) == 161
-    assert longest_avoiding(2, 12, 22).nodes_explored == 161
+    assert sum(walks) == 82
+    assert longest_avoiding(2, 12, 22).nodes_explored == 82
 
 
 def test_longest_avoiding_rejects_an_avoider_at_the_constant(monkeypatch):
@@ -319,9 +319,10 @@ def test_longest_avoiding_capped_witnesses_are_a_prefix_of_the_full_list():
     assert longest_avoiding(2, 12, 13, max_witnesses=None).witnesses == full
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_walker_leaves_are_the_avoiders_closed_under_negation(k):
-    for n in range(9):
+    # At k = 4 the walk's caps differ across four values of |v|.
+    for n in range(9 if k < 4 else 8):
         for t in range(1, n + 2):
             leaves = []
             zsseq.detect._walk_zero_sum(k, n, leaves.append, t)
@@ -337,7 +338,7 @@ def test_walks_shorter_than_t_carry_the_empty_table():
     walk = zsseq.detect._walk_zero_sum
     grid = [(k, n) for k in (1, 2, 3) for n in range(9)]
     assert sum(walk(k, n, lambda s: None, n + 1) for k, n in grid) == 1078
-    assert sum(walk(k, n, lambda s: None, t) for k, n in grid for t in range(1, n + 2)) == 4026
+    assert sum(walk(k, n, lambda s: None, t) for k, n in grid for t in range(1, n + 2)) == 3144
     near, far = [], []
     assert walk(3, 8, near.append, 9) == walk(3, 8, far.append, 40)
     zero_sum = {
@@ -352,10 +353,10 @@ def test_walks_shorter_than_t_carry_the_empty_table():
 # is far below the multiplicities: the node count follows h, not t.
 PROFILE_WALKS = [
     (2, 61, 60, 19, 330),
-    (3, 65, 60, 1_608, 10),
-    (3, 125, 120, 1_608, 20),
-    (3, 127, 120, 4_542, 0),
-    (3, 70, 60, 14_508, 0),
+    (3, 65, 60, 356, 10),
+    (3, 125, 120, 356, 20),
+    (3, 127, 120, 1_039, 0),
+    (3, 70, 60, 4_114, 0),
 ]
 
 
@@ -370,9 +371,26 @@ def test_profile_walk_nodes_and_leaves(k, length, t, nodes, count):
         assert is_t_avoiding(s, t)
 
 
+@pytest.mark.parametrize("k,longest", [(1, 10), (2, 10), (3, 10), (4, 8)])
+def test_a_zero_sum_of_length_h_holds_at_most_the_walk_cap_of_each_value(k, longest):
+    # The walk caps v at k * h // (k + |v|): no zero-sum multiset of length
+    # h holds more copies of v, and some multiset holds that many.
+    for h in range(1, longest + 1):
+        most = dict.fromkeys(range(-k, k + 1), 0)
+        for s in iter_zero_sum_sequences(k, h):
+            for v, mult in s.terms:
+                most[v] = max(most[v], mult)
+        assert most == {v: k * h // (k + abs(v)) for v in most}, (k, h)
+
+
 def test_extra_copies_match_plain_enumeration():
-    # Every solution, each once, for zero to five free values.
-    for values in ([], [2], [-3], [2, -1], [3, -3], [2, -2, 1], [3, -3, 2, -1], [3, -3, 2, -2, 1]):
+    # Every solution, each once, for zero to five free values; the last
+    # two sets have differences sharing a factor, which the residue test
+    # reads.
+    for values in (
+        [], [2], [-3], [2, -1], [3, -3], [2, -2, 1], [3, -3, 2, -1], [3, -3, 2, -2, 1],
+        [4, -2, 2], [3, -3, 1, -1],
+    ):
         for length in range(7):
             for total in range(-3 * length, 3 * length + 1):
                 got = list(zsseq.detect._extra_copies(values, length, total))
@@ -383,9 +401,17 @@ def test_extra_copies_match_plain_enumeration():
                 assert sorted(got) == want, (values, length, total)
 
 
+def test_an_empty_leaf_solve_with_no_solution_by_parity_returns_at_once():
+    # Every difference of these values is even and the total is odd; the
+    # residue test ends the solve before it enumerates.
+    start = time.monotonic()
+    assert list(zsseq.detect._extra_copies([5, -5, 3, -3], 2400, 1)) == []
+    assert time.monotonic() - start < 0.05
+
+
 def test_extremal_k3_t60_walks_one_sign_of_each_pair():
-    # 2,246 nodes when both signs of every pair of profiles are walked
-    assert enumerate_extremal(3, 60).nodes_explored == 1_608
+    # 511 nodes when both signs of every pair of profiles are walked
+    assert enumerate_extremal(3, 60).nodes_explored == 356
 
 
 def test_longest_avoiding_is_deterministic():
@@ -430,7 +456,7 @@ def test_extremal_k3_t60_is_complete_and_keeps_the_support_pattern():
 
 
 def test_extremal_k4_t420_is_complete_and_keeps_the_support_pattern():
-    # The first k=4 case of the theorem: about 0.53 M nodes, a few seconds.
+    # The first k=4 case of the theorem: about 0.09 M nodes, under a second.
     report = enumerate_extremal(4, 420)
     assert report.exhaustive
     assert len(report.sequences) == 42
@@ -460,8 +486,8 @@ def test_extremal_requires_finite_constant():
 
 
 def test_extremal_k3_cap_reports_not_exhaustive():
-    # the complete walk takes 1,608 nodes and has found 2 of the 10 sequences here
-    report = enumerate_extremal(3, 60, max_nodes=1_000)
+    # the complete walk takes 356 nodes and has found all 10 sequences here
+    report = enumerate_extremal(3, 60, max_nodes=300)
     assert not report.exhaustive
     for s in report.sequences:
         assert s.length == 60 + 9 - 3 - 1 and s.sigma == 0 and is_t_avoiding(s, 60)
