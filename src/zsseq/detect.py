@@ -55,9 +55,11 @@ fixes capped multiplicities: a zero-sum piece of length h holds at most
 m_v = floor(k * h / (k + |v|)) copies of v, so a count of m_v (at least
 1) stands for every count from there up, and the multisets of one capped
 profile are the solutions of two linear equations in the extra copies.
-The enumeration here asks for t = length + 1, which no multiset of that
-length contains, so its walk carries the empty table, caps nothing, and
-every zero-sum multiset is a leaf.
+0 comes last and takes its counts in the same loop as every other value;
+it never reaches its cap m_0 = h, because h zeros contain.  The
+enumeration here asks for t = length + 1, which no multiset of that
+length contains, so its walk carries the empty table and every zero-sum
+multiset is a leaf.  There 0's cap is 0, so it is free from the start.
 """
 
 from __future__ import annotations
@@ -450,10 +452,12 @@ def _walk_zero_sum(
     each position, floored at 1: at h = 1 every m_v with v != 0 is 0, and
     such a value takes 0 or "1 or more".  A non-zero value takes an exact
     count 0 .. cap - 1, or last its cap, "cap or more", which makes it
-    free: the free values are the positions holding their cap.  0 is never
-    free, since h zeros contain a zero-sum of length h; it takes 0 .. h - 1
-    copies, or what is left when no value is free.  With length <= t,
-    h = 0 caps nothing: no value is free, every count exact.
+    free: the free values are the positions holding their cap.  0, last,
+    takes its counts in the same loop, but never its cap m_0 = h, since h
+    zeros contain a zero-sum of length h.  With length <= t, h = 0 caps no
+    non-zero value, and every such count is exact.  At length == t, 0's
+    count is exact too; below t the table is empty, 0's cap is 0, and 0 is
+    free from the start.
 
     The kernel rows of lengths <= h are carried along the branch as one
     packed int, extended one copy at a time (a node rebinds it, so nothing
@@ -462,10 +466,11 @@ def _walk_zero_sum(
     contains a zero-sum of length h, and once the free values and the
     values still to come cannot fill the remaining length and cancel the
     partial sum (a free value widens both bounds, and bounds every later
-    value, whose |value| is smaller).  At a leaf, with F and T the
-    profile's length and sum counting each free value at its cap, every
-    solution e >= 0 of sum(e_v) = length - F and sum(v * e_v) = -T over
-    the free values is a leaf multiset.
+    value, whose |value| is smaller).  Each count of 0 is solved at once:
+    with F and T the profile's length and sum counting each free value at
+    its cap, every solution e >= 0 of sum(e_v) = length - F and
+    sum(v * e_v) = -T over the free values is a leaf multiset.  With no
+    value free, only the count of 0 that fills the length has one.
 
     Negation maps [-k, k] onto itself and keeps every subsequence's length
     and sum, so s avoids t exactly when -s does, and the walk visits one
@@ -490,21 +495,19 @@ def _walk_zero_sum(
     order = [v for a in range(k, 0, -1) for v in (a, -a)] + [0]
     last = len(order) - 1
     # Range of the values after index i; every remaining slot takes one.
-    later_lo = [min(order[i + 1 :]) for i in range(last)]
-    later_hi = [max(order[i + 1 :]) for i in range(last)]
+    later_lo = [min(order[i + 1 :], default=0) for i in range(len(order))]
+    later_hi = [max(order[i + 1 :], default=0) for i in range(len(order))]
 
     height = min(t, length - t) if length >= t else 0
     offset, stride, mask = _geometry(k, height)
+    zero_at_height = height * stride + offset
+    # A count of ``vcap[i]`` makes the value at i free; with no rows, no non-zero count reaches it.
+    vcap = [max(k * height // (k + abs(v)), 1) if height else length + 1 for v in order]
     if length < t:
         mask = 0  # the empty table: it starts at 0, and no shift fills it
-    zero_at_height = height * stride + offset
-    # A count of ``vcap[i]`` makes the value at i free; with no rows, no count reaches it.
-    if height:
-        vcap = [max(k * height // (k + abs(v)), 1) for v in order]
-    else:
-        vcap = [length + 1] * len(order)
-    # The count fixed at each position of ``order`` but 0's, the last; 0 past the current node.
-    profile = [0] * last
+        vcap[last] = 0  # so 0 is free from the start, and one solve gives it the rest
+    # The count fixed at each position of ``order``; 0 past the current node.
+    profile = [0] * len(order)
 
     checkpoint = 0  # the first node takes the slow path, which sets the next checkpoint
 
@@ -530,27 +533,9 @@ def _walk_zero_sum(
         if nodes >= checkpoint:
             at_checkpoint()
         value = order[i]
-        if i == last:
+        leaf = i == last
+        if leaf:  # 0's position: each of its counts is solved for the free values
             free = [v for v, c, m in zip(order, profile, vcap) if c == m]
-            # With no value free the window one level up leaves one way to
-            # finish, all that is left; otherwise 0 takes any count below h.
-            zeros = 0 if free else left
-            packed = _add_up_to(packed, value, zeros, height, stride, mask)
-            while not packed >> zero_at_height & 1:
-                for extra in _extra_copies(free, left - zeros, -total, deadline, nodes):
-                    if deadline is not None and time.monotonic() > deadline:
-                        raise _WalkCapped("time-limit", nodes)
-                    # from_terms drops zero counts and adds each extra to its value's cap.
-                    terms = [*zip(order, profile), (value, zeros), *zip(free, extra)]
-                    leaf = BoundedSequence.from_terms(terms, k)
-                    on_leaf(leaf)
-                    if not tied:
-                        on_leaf(negate(leaf))
-                if zeros == left:
-                    break
-                zeros += 1  # at most h - 1 times: h zeros contain
-                packed |= packed << stride & mask
-            return
         # A free value bounds every later one, whose |value| is smaller.
         lo = free_lo or later_lo[i]
         hi = free_hi or later_hi[i]
@@ -575,6 +560,16 @@ def _walk_zero_sum(
                         free_lo = lo = free_lo or value
             new_total = total + copies * value
             rest = left - copies
+            if leaf:
+                for extra in _extra_copies(free, rest, -new_total, deadline, nodes):
+                    if deadline is not None and time.monotonic() > deadline:
+                        raise _WalkCapped("time-limit", nodes)
+                    # from_terms drops zero counts and adds each extra to its value's cap.
+                    s = BoundedSequence.from_terms([*zip(order, profile), *zip(free, extra)], k)
+                    on_leaf(s)
+                    if not tied:
+                        on_leaf(negate(s))
+                continue
             # 0 is still to come, so lo <= 0 <= hi: each copy of a positive
             # value raises the low end, each of a negative one lowers the high end.
             if (new_total + rest * lo > 0) if value > 0 else (new_total + rest * hi < 0):

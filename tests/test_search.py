@@ -1,5 +1,6 @@
 """Search layer: longest-avoiding, extremal enumeration, families, audits."""
 
+import hashlib
 import time
 from itertools import combinations_with_replacement, product
 
@@ -369,6 +370,50 @@ def test_profile_walk_nodes_and_leaves(k, length, t, nodes, count):
     for s in leaves:
         assert s.bound == k and s.length == length and s.sigma == 0
         assert is_t_avoiding(s, t)
+
+
+# (k, t, n): every k <= 3 walk with t <= 9 and every k = 4 walk with t <= 6,
+# each at n = t - 2 ... 2t + 2, plus the long walks of the extremal cases.
+WALK_GRID = [
+    *(
+        (k, t, n)
+        for k in (1, 2, 3, 4)
+        for t in range(1, 10 if k < 4 else 7)
+        for n in range(max(0, t - 2), 2 * t + 3)
+    ),
+    (3, 60, 65), (3, 60, 70), (3, 120, 125), (3, 120, 127), (4, 420, 431),
+]
+
+
+def test_every_walk_in_the_grid_keeps_its_nodes_and_leaves():
+    # One sha256 over (k, t, n, nodes, sorted leaf terms) of 322 walks, so a
+    # change to the walker that moves any node count or leaf shows here.
+    digest = hashlib.sha256()
+    for k, t, n in WALK_GRID:
+        leaves = []
+        nodes = zsseq.detect._walk_zero_sum(k, n, leaves.append, t)
+        digest.update(repr((k, t, n, nodes, sorted(s.terms for s in leaves))).encode())
+    assert len(WALK_GRID) == 322
+    assert digest.hexdigest() == (
+        "41d4f4e6a9002b15c2e7c9b0e9df594ef4975be096a6d16249c0b11b87cdb724"
+    )
+
+
+def test_an_empty_table_walk_solves_each_leaf_in_one_step(monkeypatch):
+    # With t past the length, 0 is free from the start: each of the 200
+    # profiles of (1, -1) reaching 0 gets its zeros from one solve, not
+    # one count at a time.
+    solves = []
+    solve = zsseq.detect._extra_copies
+
+    def counting(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(zsseq.detect, "_extra_copies", counting)
+    leaves = []
+    assert zsseq.detect._walk_zero_sum(1, 399, leaves.append, 400) == 401
+    assert len(solves) == len(leaves) == 200
 
 
 @pytest.mark.parametrize("k,longest", [(1, 10), (2, 10), (3, 10), (4, 8)])
