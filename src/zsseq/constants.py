@@ -62,7 +62,12 @@ def lcm_range(lo: int, hi: int) -> int:
     _check_positive("lo", lo)
     if hi < lo:
         return 1
-    return lcm(*range(lo, hi + 1))
+    # Pairwise, as a balanced tree: folding left multiplies a huge running
+    # lcm by one small int per step, which is quadratic in its digits.
+    level = list(range(lo, hi + 1))
+    while len(level) > 1:
+        level = [lcm(*level[i : i + 2]) for i in range(0, len(level), 2)]
+    return level[0]
 
 
 def divisibility_condition(k: int, t: int) -> DivisibilityReport:

@@ -44,8 +44,9 @@ bits); if it would exceed the configured cap the build is refused with
 :class:`~zsseq.errors.ResourceLimitError` rather than degrading.
 
 For cross-checking, :func:`brute_force_pairs` / :func:`brute_force_spectrum`
-enumerate every subsequence explicitly and never touch the bitset code
-path; tests and ``selftest`` compare the two routes.
+build the (length, sum) pairs as plain sets of tuples, one value at a time
+and every copy count at once, and never touch the bitset code path; tests
+and ``selftest`` compare the two routes.
 
 Every exhaustive walk over zero-sum multisets in [-k, k] goes through one
 walker, :func:`_walk_zero_sum`, whose leaves are the multisets that avoid
@@ -320,23 +321,23 @@ def check_complement_duality(s: BoundedSequence, t: int) -> bool:
     return a == b
 
 
-# -- independent oracle (no bitsets, plain enumeration) -----------------
+# -- independent oracle (no bitsets, plain sets) -----------------------
 
 
 def brute_force_pairs(s: BoundedSequence) -> frozenset[tuple[int, int]]:
-    """All (length, sum) pairs over subsequences of s, by explicit enumeration."""
-    values = s.terms
-    pairs: set[tuple[int, int]] = set()
+    """All (length, sum) pairs over subsequences of s, as plain tuples, one value at a time.
 
-    def go(i: int, length: int, total: int) -> None:
-        if i == len(values):
-            pairs.add((length, total))
-            return
-        value, mult = values[i]
-        for copies in range(mult + 1):
-            go(i + 1, length + copies, total + copies * value)
-
-    go(0, 0, 0)
+    Starts from {(0, 0)} and, for each value v with multiplicity m, takes
+    pairs(P + v^m) = {(l + c, sigma + c * v) : (l, sigma) in pairs(P),
+    0 <= c <= m}.  Every count c is taken directly: no height cap, no
+    binary chunks and no complement reading, and nothing here touches the
+    bitset kernel, so the two routes check each other.
+    """
+    pairs = {(0, 0)}
+    for value, mult in s.terms:
+        pairs = {
+            (length + c, total + c * value) for c in range(mult + 1) for length, total in pairs
+        }
     return frozenset(pairs)
 
 

@@ -7,8 +7,9 @@ Each suite hammers one property that must hold unconditionally:
 * ``spectrum_symmetry`` -- the zero-sum length spectrum of a zero-sum
   sequence contains 0 and the full length and is symmetric about half
   the length (complements of zero-sum subsequences are zero-sum).
-* ``dp_vs_bruteforce`` -- the bitset kernel reproduces plain recursive
-  enumeration exactly, over every multiset up to a size cap.
+* ``dp_vs_bruteforce`` -- the bitset kernel's (length, sum) pairs equal
+  the oracle's, which builds them as plain sets of tuples, one value at a
+  time, over every multiset up to a size cap.
 * ``davenport_blocks`` -- the pigeonhole block extractor always returns a
   nonempty consecutive run with sum divisible by the modulus.
 * ``reduce_fixpoint_audit`` -- every recorded rewrite step removes a

@@ -1,6 +1,7 @@
 """Constants, divisibility, and the small number-theory utilities."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,10 +25,31 @@ from zsseq import constants
 
 @pytest.mark.parametrize(
     "lo,hi,expected",
-    [(2, 7, 420), (2, 2, 2), (2, 3, 6), (2, 5, 60), (2, 9, 2520), (3, 2, 1), (1, 1, 1)],
+    [
+        (2, 7, 420),
+        (2, 2, 2),
+        (2, 3, 6),
+        (2, 5, 60),
+        (2, 9, 2520),
+        (3, 2, 1),
+        (1, 1, 1),
+        (5, 6, 30),
+        (7, 7, 7),
+        (4, 9, 2520),
+        (6, 10, 2520),
+        (11, 13, 1716),
+    ],
 )
 def test_lcm_range(lo, hi, expected):
     assert lcm_range(lo, hi) == expected
+
+
+def test_lcm_range_matches_a_left_fold():
+    rng = random.Random(20)
+    spans = [(lo, hi) for lo in range(1, 25) for hi in range(lo - 1, 40)]
+    spans += [(lo, lo + rng.randint(0, 300)) for lo in (rng.randint(1, 2000) for _ in range(50))]
+    for lo, hi in spans:
+        assert lcm_range(lo, hi) == math.lcm(*range(lo, hi + 1)), (lo, hi)
 
 
 @pytest.mark.parametrize(

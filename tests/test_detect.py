@@ -1,8 +1,10 @@
 """Detection kernel against the plain-enumeration oracle.
 
-The kernel (bitset rows) and the oracle (explicit recursion over
-multiplicities) are deliberately independent computations of the same
-facts; these tests compare them rather than trusting either alone.
+The kernel (bitset rows) and the oracle (plain sets of (length, sum)
+tuples, built one value at a time) are deliberately independent
+computations of the same facts; these tests compare them rather than
+trusting either alone.  The oracle is itself checked against
+``recursive_pairs``, an explicit recursion over every copy count.
 """
 
 import dataclasses
@@ -73,6 +75,61 @@ def test_kernel_matches_oracle_on_random_cases(terms):
     s = seq_of(terms)
     table = build_table(s, s.length)
     assert frozenset(table.achievable_pairs()) == brute_force_pairs(s)
+
+
+def recursive_pairs(s):
+    """(length, sum) pairs of s by explicit recursion over every copy count of every value."""
+    values = s.terms
+    pairs = set()
+
+    def go(i, length, total):
+        if i == len(values):
+            pairs.add((length, total))
+            return
+        value, mult = values[i]
+        for copies in range(mult + 1):
+            go(i + 1, length + copies, total + copies * value)
+
+    go(0, 0, 0)
+    return frozenset(pairs)
+
+
+def test_oracle_matches_recursion_on_every_small_multiset():
+    # All 6,435 multisets over [-3, 3] of size <= 8.
+    count = 0
+    for size in range(9):
+        for elements in itertools.combinations_with_replacement(range(-3, 4), size):
+            s = BoundedSequence.from_elements(elements, 3)
+            assert brute_force_pairs(s) == recursive_pairs(s), s
+            count += 1
+    assert count == 6435
+
+
+@given(st.integers(min_value=1, max_value=6), st.data())
+@settings(max_examples=150)
+def test_oracle_matches_recursion_on_random_cases(bound, data):
+    terms = data.draw(
+        st.dictionaries(
+            st.integers(min_value=-bound, max_value=bound),
+            st.integers(min_value=1, max_value=8),
+            max_size=5,
+        )
+    )
+    s = BoundedSequence.from_terms(terms, bound)
+    assert brute_force_pairs(s) == recursive_pairs(s)
+
+
+def test_oracle_never_touches_the_kernel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached the bitset kernel")
+
+    monkeypatch.setattr(detect, "build_table", refuse)
+    monkeypatch.setattr(detect, "_add_up_to", refuse)
+    s = parse_sequence("3^2,2^4,1^3,0^2,-1^5,-3^3")
+    assert brute_force_pairs(s) == recursive_pairs(s)
+    assert brute_force_spectrum(s) == {
+        length for length, total in recursive_pairs(s) if total == 0
+    }
 
 
 @given(small_term_dicts)
