@@ -5,17 +5,21 @@ zero?" (and more generally, which (length, sum) pairs are achievable) by a
 layered dynamic program over the distinct values of s:
 
 * State space: pairs (j, sigma) with 0 <= j <= c (the table height) and
-  |sigma| <= bound * c.  All rows are packed into one Python int: row j
+  -L <= sigma <= H, where L totals |value| over the negative elements
+  among the c smallest of s and H the positive elements among the c
+  largest: every subsequence of at most c elements sums into [-L, H], and
+  both ends are reached.  All rows are packed into one Python int: row j
   starts at bit j * stride, and (j, sigma) is bit j * stride + sigma +
-  offset, where offset = bound * c, width = 2 * offset + 1 and stride =
-  width + bound.  Any subsequence of length j has |sum| <= bound * j <=
-  offset, so the window never loses genuine states.
+  offset, where offset = L, width = L + H + 1 and stride = width + bound.
+  The window never loses genuine states, and a value prefix of s, whose
+  sums lie inside it, is tabled in the same window.
 
 * The bound pad bits on top of each row keep rows apart.  A state pushed
-  past row c with a negative sum borrows into row c's pad, never into its
-  window, and the next shift carries it past the mask; without the pad it
-  would land in row c's window as a false state.  Rows below c never get
-  a pad bit, and no query reads one.
+  past row c has c + 1 elements, so a sum of at least -L - bound: it
+  borrows into row c's pad, never into its window, and the next shift
+  carries it past the mask; without the pad it would land in row c's
+  window as a false state.  Rows below c never get a pad bit, and no
+  query reads one.
 
 * Complement queries: for any multiset s of length n, removing a
   subsequence of length j and sum sigma leaves one of length n - j and sum
@@ -109,10 +113,12 @@ class LengthSumTable:
     ``packed`` holds rows 0..``max_length`` in one int: bit
     j * ``stride`` + sigma + ``offset`` is set iff some subsequence of the
     whole source has length j and sum sigma.  Each row is ``width`` window
-    bits plus ``stride - width`` = bound pad bits, which only row
-    ``max_length`` can have set and no query reads.  Longer lengths down to
-    n - ``max_length`` are answered through the complement, using
-    sigma(source).  ``snapshots`` holds the packed int
+    bits, the sums from -``offset`` up that subsequences of at most
+    ``max_length`` elements of the source can reach, plus
+    ``stride - width`` = bound pad bits, which only row ``max_length`` can
+    have set and no query reads; the ``layers`` keep this window.  Longer
+    lengths down to n - ``max_length`` are answered through the
+    complement, using sigma(source).  ``snapshots`` holds the packed int
     after each distinct value (needed for witness recovery); it is empty
     when the table was built with ``keep_layers=False``.  ``rows`` decodes
     ``packed`` one row per int, on first use.
@@ -189,7 +195,7 @@ class LengthSumTable:
         mirrored = length > self.max_length
         if mirrored:
             length, total = self.source.length - length, self.source.sigma - total
-        counts: dict[int, int] = {}
+        taken: list[tuple[int, int]] = []  # (value, copies) from the largest value down
         j, sigma = length, total
         terms = self.source.terms
         for i in range(len(terms) - 1, -1, -1):
@@ -201,7 +207,7 @@ class LengthSumTable:
                 if 0 <= pos < self.width and prev >> (j - copies) * self.stride + pos & 1:
                     kept = mult - copies if mirrored else copies
                     if kept:
-                        counts[value] = kept
+                        taken.append((value, kept))
                     j -= copies
                     sigma -= copies * value
                     break
@@ -209,7 +215,7 @@ class LengthSumTable:
                 raise CrossCheckError("witness backtracking lost a reachable state")
         if j or sigma:  # pragma: no cover - impossible if the table is consistent
             raise CrossCheckError(f"witness backtracking ended at ({j}, {sigma}), not (0, 0)")
-        return BoundedSequence.from_terms(counts, self.source.bound)
+        return BoundedSequence(self.source.bound, tuple(reversed(taken)))
 
 
 def _add_up_to(packed: int, value: int, mult: int, height: int, stride: int, mask: int) -> int:
@@ -230,17 +236,49 @@ def _add_up_to(packed: int, value: int, mult: int, height: int, stride: int, mas
 
 
 def _geometry(bound: int, height: int) -> tuple[int, int, int]:
-    """(offset, stride, mask) of rows 0..height over [-bound, bound]: the module docstring's layout."""
+    """(offset, stride, mask) of rows 0..height over sums in [-bound * height, bound * height].
+
+    The walker's layout alone: its table has no fixed source, so it keeps
+    the window every sequence over [-bound, bound] fits in.
+    """
     offset = bound * height
     stride = 2 * offset + 1 + bound
     return offset, stride, (1 << (height + 1) * stride) - 1
 
 
+def _window(s: BoundedSequence, height: int) -> tuple[int, int]:
+    """(low, high): the sums of subsequences of at most ``height`` elements span [-low, high].
+
+    ``low`` totals |value| over the negative elements among the ``height``
+    smallest of s, ``high`` the positive elements among the ``height``
+    largest; both ends are reached.  One pass from each end of the sorted
+    terms, stopping after ``height`` elements.
+    """
+    low, left = 0, height
+    for value, mult in s.terms:
+        if value >= 0 or not left:
+            break
+        take = mult if mult < left else left
+        low -= take * value
+        left -= take
+    high, left = 0, height
+    for value, mult in reversed(s.terms):
+        if value <= 0 or not left:
+            break
+        take = mult if mult < left else left
+        high += take * value
+        left -= take
+    return low, high
+
+
+def _table_bytes(width: int, height: int, layers: int) -> int:
+    return layers * (height + 1) * ((width + 7) // 8 + _ROW_OVERHEAD)
+
+
 def estimate_table_bytes(s: BoundedSequence, max_length: int) -> int:
-    width = 2 * s.bound * max_length + 1
-    rows = max_length + 1
-    layers = len(s.terms) + 1
-    return layers * rows * ((width + 7) // 8 + _ROW_OVERHEAD)
+    """Estimated payload of ``build_table(s, max_length)``: every snapshot, rows of its window."""
+    low, high = _window(s, max_length)
+    return _table_bytes(low + high + 1, max_length, len(s.terms) + 1)
 
 
 def build_table(
@@ -252,21 +290,23 @@ def build_table(
     """Reachability table of height max_length: lengths <= max_length and >= |s| - max_length."""
     if max_length < 0:
         raise PreconditionError(f"max_length must be >= 0, got {max_length}")
-    estimate = estimate_table_bytes(s, max_length)
-    if not keep_layers:
-        estimate = 2 * estimate // (len(s.terms) + 1)
+    low, high = _window(s, max_length)
+    width = low + high + 1
+    # Without layers only the packed int is kept, and one shifted copy of it is made at a time.
+    estimate = _table_bytes(width, max_length, len(s.terms) + 1 if keep_layers else 2)
     if estimate > memory_limit:
         raise ResourceLimitError(
             f"table estimate {estimate} bytes exceeds the {memory_limit}-byte cap"
         )
-    offset, stride, mask = _geometry(s.bound, max_length)
-    packed = 1 << offset
+    stride = width + s.bound
+    mask = (1 << (max_length + 1) * stride) - 1
+    packed = 1 << low
     snapshots: list[int] = []
     for value, mult in s.terms:
         packed = _add_up_to(packed, value, mult, max_length, stride, mask)
         if keep_layers:
             snapshots.append(packed)
-    return LengthSumTable(s, max_length, offset, 2 * offset + 1, stride, packed, tuple(snapshots))
+    return LengthSumTable(s, max_length, low, width, stride, packed, tuple(snapshots))
 
 
 def find_zero_sum_of_length(

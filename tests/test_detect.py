@@ -299,6 +299,21 @@ def test_estimate_grows_with_length():
     assert 0 < small < big
 
 
+def test_estimate_follows_the_window():
+    # 40 elements of 3^40,-1^40 sum to between -40 and 120: 161 window bits,
+    # not the 2 * 3 * 40 + 1 = 241 of the symmetric layout.
+    s = parse_sequence("3^40,-1^40")
+    table = build_table(s, 40)
+    assert (table.offset, table.width, table.stride) == (40, 161, 164)
+    estimate = estimate_table_bytes(s, 40)
+    assert estimate == 3 * 41 * ((161 + 7) // 8 + detect._ROW_OVERHEAD)
+    assert estimate < 3 * 41 * ((241 + 7) // 8 + detect._ROW_OVERHEAD)
+    # build_table refuses by this same estimate.
+    assert build_table(s, 40, memory_limit=estimate) == table
+    with pytest.raises(ResourceLimitError):
+        build_table(s, 40, memory_limit=estimate - 1)
+
+
 def test_iter_zero_sum_sequences_matches_filtered_enumeration():
     # Independent route: all multisets of each length, filtered by sum.
     def all_multisets(values, i, room, acc):
@@ -351,14 +366,51 @@ def test_each_layer_is_the_table_of_its_value_prefix():
         assert len(table.layers) == len(s.terms)
         for i, layer in enumerate(table.layers):
             prefix = BoundedSequence(s.bound, s.terms[: i + 1])
-            assert layer == build_table(prefix, table.max_length), (s, i)
+            # A layer keeps the whole table's sum window, so it is compared
+            # with the prefix's own table by what the two answer.
+            own = build_table(prefix, table.max_length)
+            assert (layer.source, layer.max_length) == (prefix, own.max_length)
+            assert list(layer.achievable_pairs()) == list(own.achievable_pairs()), (s, i)
             # Witnesses on both sides of the layer, the mirrored ones included.
             for length in range(prefix.length + 1):
                 for total in (0, prefix.sigma - 1, 1):
                     found = layer.witness(length, total)
+                    assert found == own.witness(length, total), (s, i, length, total)
                     if found is not None:
                         assert is_subsequence(found, prefix), (s, i, length, total)
                         assert (found.length, found.sigma) == (length, total)
+
+
+def symmetric_table(s, c):
+    """The table of height c with every row over [-k * c, k * c], the walker's symmetric layout."""
+    offset, stride, mask = detect._geometry(s.bound, c)
+    packed, snapshots = 1 << offset, []
+    for value, mult in s.terms:
+        packed = detect._add_up_to(packed, value, mult, c, stride, mask)
+        snapshots.append(packed)
+    return LengthSumTable(s, c, offset, 2 * offset + 1, stride, packed, tuple(snapshots))
+
+
+def test_the_reachable_window_answers_as_the_symmetric_one():
+    # Each table's window holds exactly the sums its rows can reach, so it
+    # must answer every query as the [-k * c, k * c] layout does.
+    rng = random.Random(20261020)
+    for trial in range(2000):
+        k = 1 + trial % 6
+        shape = trial // 6 % 4  # zero-sum, mixed, non-negative, then non-positive
+        s = random_sequence(rng, k, rng.randint(0, 6), zero_sum=shape == 0)
+        if shape >= 2:  # fold every value onto one side of 0
+            sign = 1 if shape == 2 else -1
+            s = BoundedSequence.from_terms([(sign * abs(v), m) for v, m in s.terms], k)
+        for c in range(s.length + 1):
+            table, old = build_table(s, c), symmetric_table(s, c)
+            assert list(table.achievable_pairs()) == list(old.achievable_pairs()), (s, c)
+            for length in range(s.length + 1):
+                for total in range(-k * c - 1, k * c + 2):
+                    expected = old.reachable(length, total)
+                    assert table.reachable(length, total) == expected, (s, c, length, total)
+                    if expected:
+                        assert table.witness(length, total) == old.witness(length, total)
 
 
 def test_short_side_witness_equals_the_full_height_witness():
