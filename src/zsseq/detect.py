@@ -10,16 +10,19 @@ layered dynamic program over the distinct values of s:
   largest: every subsequence of at most c elements sums into [-L, H], and
   both ends are reached.  All rows are packed into one Python int: row j
   starts at bit j * stride, and (j, sigma) is bit j * stride + sigma +
-  offset, where offset = L, width = L + H + 1 and stride = width + bound.
+  offset, where offset = L, width = L + H + 1 and stride = width + pad.
   The window never loses genuine states, and a value prefix of s, whose
   sums lie inside it, is tabled in the same window.
 
-* The bound pad bits on top of each row keep rows apart.  A state pushed
-  past row c has c + 1 elements, so a sum of at least -L - bound: it
-  borrows into row c's pad, never into its window, and the next shift
-  carries it past the mask; without the pad it would land in row c's
-  window as a false state.  Rows below c never get a pad bit, and no
-  query reads one.
+* The pad bits on top of each row keep rows apart: pad = |u| for the
+  smallest value u of s when L > 0, and pad = 0 otherwise.  A state
+  pushed e >= 1 rows past row c has c + e elements, so a sum of at least
+  -L - e * pad: it borrows into row c's pad, never into its window, and
+  the next shift carries it past the mask; without the pad it would land
+  in row c's window as a false state.  With L = 0 no shift is negative,
+  so nothing borrows.  The pad follows the values, not the bound, so it
+  is never wider than the window.  Rows below c never get a pad bit, and
+  no query reads one.
 
 * Complement queries: for any multiset s of length n, removing a
   subsequence of length j and sum sigma leaves one of length n - j and sum
@@ -115,7 +118,7 @@ class LengthSumTable:
     whole source has length j and sum sigma.  Each row is ``width`` window
     bits, the sums from -``offset`` up that subsequences of at most
     ``max_length`` elements of the source can reach, plus
-    ``stride - width`` = bound pad bits, which only row ``max_length`` can
+    ``stride - width`` pad bits, which only row ``max_length`` can
     have set and no query reads; the ``layers`` keep this window.  Longer
     lengths down to n - ``max_length`` are answered through the
     complement, using sigma(source).  ``snapshots`` holds the packed int
@@ -246,13 +249,14 @@ def _geometry(bound: int, height: int) -> tuple[int, int, int]:
     return offset, stride, (1 << (height + 1) * stride) - 1
 
 
-def _window(s: BoundedSequence, height: int) -> tuple[int, int]:
-    """(low, high): the sums of subsequences of at most ``height`` elements span [-low, high].
+def _layout(s: BoundedSequence, height: int) -> tuple[int, int, int]:
+    """(offset, width, stride) of rows 0..height over s: the module docstring's layout.
 
-    ``low`` totals |value| over the negative elements among the ``height``
-    smallest of s, ``high`` the positive elements among the ``height``
-    largest; both ends are reached.  One pass from each end of the sorted
-    terms, stopping after ``height`` elements.
+    The window is [-low, high]: ``low`` totals |value| over the negative
+    elements among the ``height`` smallest of s, ``high`` the positive
+    elements among the ``height`` largest, found in one pass from each end
+    of the sorted terms that stops after ``height`` elements.  The pad is
+    |u| for the smallest value u of s when low > 0, and empty otherwise.
     """
     low, left = 0, height
     for value, mult in s.terms:
@@ -268,17 +272,17 @@ def _window(s: BoundedSequence, height: int) -> tuple[int, int]:
         take = mult if mult < left else left
         high += take * value
         left -= take
-    return low, high
+    width = low + high + 1
+    return low, width, width - s.terms[0][0] if low else width
 
 
-def _table_bytes(width: int, height: int, layers: int) -> int:
-    return layers * (height + 1) * ((width + 7) // 8 + _ROW_OVERHEAD)
+def _table_bytes(stride: int, height: int, layers: int) -> int:
+    return layers * (height + 1) * ((stride + 7) // 8 + _ROW_OVERHEAD)
 
 
 def estimate_table_bytes(s: BoundedSequence, max_length: int) -> int:
-    """Estimated payload of ``build_table(s, max_length)``: every snapshot, rows of its window."""
-    low, high = _window(s, max_length)
-    return _table_bytes(low + high + 1, max_length, len(s.terms) + 1)
+    """Estimated payload of ``build_table(s, max_length)``: every snapshot, rows of its stride."""
+    return _table_bytes(_layout(s, max_length)[2], max_length, len(s.terms) + 1)
 
 
 def build_table(
@@ -290,23 +294,21 @@ def build_table(
     """Reachability table of height max_length: lengths <= max_length and >= |s| - max_length."""
     if max_length < 0:
         raise PreconditionError(f"max_length must be >= 0, got {max_length}")
-    low, high = _window(s, max_length)
-    width = low + high + 1
+    offset, width, stride = _layout(s, max_length)
     # Without layers only the packed int is kept, and one shifted copy of it is made at a time.
-    estimate = _table_bytes(width, max_length, len(s.terms) + 1 if keep_layers else 2)
+    estimate = _table_bytes(stride, max_length, len(s.terms) + 1 if keep_layers else 2)
     if estimate > memory_limit:
         raise ResourceLimitError(
             f"table estimate {estimate} bytes exceeds the {memory_limit}-byte cap"
         )
-    stride = width + s.bound
     mask = (1 << (max_length + 1) * stride) - 1
-    packed = 1 << low
+    packed = 1 << offset
     snapshots: list[int] = []
     for value, mult in s.terms:
         packed = _add_up_to(packed, value, mult, max_length, stride, mask)
         if keep_layers:
             snapshots.append(packed)
-    return LengthSumTable(s, max_length, low, width, stride, packed, tuple(snapshots))
+    return LengthSumTable(s, max_length, offset, width, stride, packed, tuple(snapshots))
 
 
 def find_zero_sum_of_length(

@@ -151,16 +151,13 @@ def _rewrite(s: BoundedSequence, x: BlockX, j: int, f: int, rest: BoundedSequenc
     """The step that removes T = rest + {f} from s and inserts j blocks."""
     piece = rest.as_dict()
     piece[f] = piece.get(f, 0) + 1
-    added = {value: j * mult for value, mult in x.block.terms}
-    # Both term lists follow s's ascending terms; T's values are all among them.
-    removed = tuple((value, piece[value]) for value, _ in s.terms if value in piece)
-    counts = [(value, mult - piece.get(value, 0) + added.pop(value, 0)) for value, mult in s.terms]
-    if added:  # a block value s lacks
-        counts = sorted(counts + list(added.items()))
-    result = tuple(term for term in counts if term[1])
-    return ReduceStep(
-        BoundedSequence(max(s.bound, x.block.bound), result), BoundedSequence(s.bound, removed), j
-    )
+    counts = dict(s.terms)
+    for value, mult in piece.items():
+        counts[value] -= mult
+    for value, mult in x.block.terms:
+        counts[value] = counts.get(value, 0) + j * mult
+    removed = BoundedSequence.from_terms(piece, s.bound)
+    return ReduceStep(BoundedSequence.from_terms(counts, max(s.bound, x.block.bound)), removed, j)
 
 
 def reduce_fixpoint(

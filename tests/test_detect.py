@@ -263,6 +263,20 @@ def test_packed_payload_fits_the_estimate(k):
                     build_table(s, height, memory_limit=payload - 1, keep_layers=keep_layers)
 
 
+@pytest.mark.parametrize("values", [[1], [-1], [-2, 0, 3]])
+def test_a_bound_far_above_the_values_does_not_widen_the_rows(values):
+    # The pad follows the smallest value of s, not the bound, and the
+    # estimate counts whole rows: a cap one byte below the ints refuses.
+    s = BoundedSequence.from_terms({v: 50 for v in values}, 10**6)
+    for keep_layers in (True, False):
+        table = build_table(s, 40, keep_layers=keep_layers)
+        assert table.stride - table.width == max(0, -min(values))
+        held = table.snapshots or (table.packed,)
+        payload = sum(sys.getsizeof(x) for x in held)
+        with pytest.raises(ResourceLimitError):
+            build_table(s, 40, memory_limit=payload - 1, keep_layers=keep_layers)
+
+
 def test_a_tall_table_has_a_printable_repr():
     # Its packed int runs past Python's 4,300-digit str conversion limit.
     table = build_table(parse_sequence("3^60,-3^60"), 60)
@@ -304,10 +318,11 @@ def test_estimate_follows_the_window():
     # not the 2 * 3 * 40 + 1 = 241 of the symmetric layout.
     s = parse_sequence("3^40,-1^40")
     table = build_table(s, 40)
-    assert (table.offset, table.width, table.stride) == (40, 161, 164)
+    # The pad is |-1| = 1 bit, so the stride is 162.
+    assert (table.offset, table.width, table.stride) == (40, 161, 162)
     estimate = estimate_table_bytes(s, 40)
-    assert estimate == 3 * 41 * ((161 + 7) // 8 + detect._ROW_OVERHEAD)
-    assert estimate < 3 * 41 * ((241 + 7) // 8 + detect._ROW_OVERHEAD)
+    assert estimate == 3 * 41 * ((162 + 7) // 8 + detect._ROW_OVERHEAD)
+    assert estimate < 3 * 41 * ((241 + 3 + 7) // 8 + detect._ROW_OVERHEAD)
     # build_table refuses by this same estimate.
     assert build_table(s, 40, memory_limit=estimate) == table
     with pytest.raises(ResourceLimitError):
