@@ -23,7 +23,6 @@ from .detect import (
     brute_force_pairs,
     brute_force_spectrum,
     build_table,
-    check_complement_duality,
     estimate_table_bytes,
     find_zero_sum_of_length,
     is_t_avoiding,
@@ -84,7 +83,6 @@ __all__ = [
     "brute_force_spectrum",
     "build_block",
     "build_table",
-    "check_complement_duality",
     "complete_block",
     "concat",
     "davenport_subset",

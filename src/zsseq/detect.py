@@ -14,23 +14,24 @@ layered dynamic program over the distinct values of s:
   The window never loses genuine states, and a value prefix of s, whose
   sums lie inside it, is tabled in the same window.
 
-* The pad bits on top of each row keep rows apart: pad = |u| for the
-  smallest value u of s when L > 0, and pad = 0 otherwise.  A state
-  pushed e >= 1 rows past row c has c + e elements, so a sum of at least
-  -L - e * pad: it borrows into row c's pad, never into its window, and
-  the next shift carries it past the mask; without the pad it would land
-  in row c's window as a false state.  With L = 0 no shift is negative,
-  so nothing borrows.  The pad follows the values, not the bound, so it
-  is never wider than the window.  Rows below c never get a pad bit, and
-  no query reads one.
+* The pad bits on top of each row keep rows apart: pad = |u| when the
+  smallest value u of s is negative, and pad = 0 otherwise, so each
+  shift by stride + v moves up, even at c = 0.  A state pushed e >= 1
+  rows past row c has c + e elements, so a sum of at least -L - e * pad:
+  it borrows into row c's pad, never into its window, and the next shift
+  carries it past the mask; without the pad it would land in row c's
+  window as a false state.  The pad follows the values, not the bound,
+  so for c >= 1 it is never wider than the window.  Rows below c never
+  get a pad bit, and no query reads one.
 
 * Complement queries: for any multiset s of length n, removing a
   subsequence of length j and sum sigma leaves one of length n - j and sum
   sigma(s) - sigma, so (j, sigma) is reachable exactly when
   (n - j, sigma(s) - sigma) is.  A table of height c therefore answers
-  every length in [0, c] and in [n - c, n], and a query for length t needs
-  height min(t, n - t) only.  The identity holds for every value prefix
-  of s too, which is what lets witnesses be recovered from the short side.
+  every length in [0, c] and in [n - c, n], and refuses one in between; a
+  query for length t needs height min(t, n - t) only.  The identity holds
+  for every value prefix of s too, which is what lets witnesses be
+  recovered from the short side.
 
 * Values are processed in ascending order.  Adding up to m copies of a
   value v uses the binary (power-of-two) decomposition of min(m, c): each
@@ -68,6 +69,8 @@ it never reaches its cap m_0 = h, because h zeros contain.  The
 enumeration here asks for t = length + 1, which no multiset of that
 length contains, so its walk carries the empty table and every zero-sum
 multiset is a leaf.  There 0's cap is 0, so it is free from the start.
+The walk's rows take :func:`_layout`'s window for length + 1 copies each
+of -k and k, which bounds every walk: offset k * h, stride 2kh + 1 + k.
 """
 
 from __future__ import annotations
@@ -157,10 +160,14 @@ class LengthSumTable:
         )
 
     def reachable(self, length: int, total: int = 0) -> bool:
-        if length > self.max_length:
-            length, total = self.source.length - length, self.source.sigma - total
-        if not 0 <= length <= self.max_length:
+        """(length, total) reached?  A length between the table's two sides is refused."""
+        n, c = self.source.length, self.max_length
+        if not 0 <= length <= n:
             return False
+        if length > c:
+            if length < n - c:
+                raise PreconditionError(f"length {length} is not held by a table of height {c}")
+            length, total = n - length, self.source.sigma - total
         pos = total + self.offset
         if not 0 <= pos < self.width:
             return False
@@ -185,6 +192,7 @@ class LengthSumTable:
     def witness(self, length: int, total: int = 0) -> BoundedSequence | None:
         """Recover one subsequence achieving (length, total), or None.
 
+        A length the table does not hold is refused, as by :meth:`reachable`.
         Walks the snapshots backwards, taking the smallest feasible copy
         count of each value, which makes the result deterministic.  A
         length above ``max_length`` walks the complement target with the
@@ -238,17 +246,6 @@ def _add_up_to(packed: int, value: int, mult: int, height: int, stride: int, mas
     return packed
 
 
-def _geometry(bound: int, height: int) -> tuple[int, int, int]:
-    """(offset, stride, mask) of rows 0..height over sums in [-bound * height, bound * height].
-
-    The walker's layout alone: its table has no fixed source, so it keeps
-    the window every sequence over [-bound, bound] fits in.
-    """
-    offset = bound * height
-    stride = 2 * offset + 1 + bound
-    return offset, stride, (1 << (height + 1) * stride) - 1
-
-
 def _layout(s: BoundedSequence, height: int) -> tuple[int, int, int]:
     """(offset, width, stride) of rows 0..height over s: the module docstring's layout.
 
@@ -256,7 +253,9 @@ def _layout(s: BoundedSequence, height: int) -> tuple[int, int, int]:
     elements among the ``height`` smallest of s, ``high`` the positive
     elements among the ``height`` largest, found in one pass from each end
     of the sorted terms that stops after ``height`` elements.  The pad is
-    |u| for the smallest value u of s when low > 0, and empty otherwise.
+    |u| when the smallest value u of s is negative, and empty otherwise.
+    The walker lays out its rows here too.  The mask, (height + 1) * stride
+    bits, is left to the callers, so ``build_table`` makes it after its memory check.
     """
     low, left = 0, height
     for value, mult in s.terms:
@@ -273,7 +272,7 @@ def _layout(s: BoundedSequence, height: int) -> tuple[int, int, int]:
         high += take * value
         left -= take
     width = low + high + 1
-    return low, width, width - s.terms[0][0] if low else width
+    return low, width, width - min(s.terms[0][0], 0) if s.terms else width
 
 
 def _table_bytes(stride: int, height: int, layers: int) -> int:
@@ -342,25 +341,6 @@ def spectrum(s: BoundedSequence, memory_limit: int = DEFAULT_MEMORY_LIMIT) -> Sp
     """All lengths of zero-sum subsequences of s (always contains 0)."""
     table = build_table(s, s.length, memory_limit=memory_limit, keep_layers=False)
     return Spectrum(table.zero_sum_lengths())
-
-
-def check_complement_duality(s: BoundedSequence, t: int) -> bool:
-    """For zero-sum s and 0 <= t <= |s|: is t-avoidance == (|s|-t)-avoidance?
-
-    Removing a zero-sum subsequence from a zero-sum sequence leaves a
-    zero-sum complement, so the two flags must always agree; a False return
-    would indicate a kernel defect.  Both are read directly, without the
-    complement queries: row t of a table of height t against row |s| - t
-    of a table of height |s| - t.
-    """
-    if s.sigma != 0:
-        raise PreconditionError("complement duality only applies to zero-sum sequences")
-    if not 0 <= t <= s.length:
-        raise PreconditionError(f"t must lie in [0, {s.length}], got {t}")
-    a = build_table(s, t, keep_layers=False).reachable(t)
-    rest = s.length - t
-    b = build_table(s, rest, keep_layers=False).reachable(rest)
-    return a == b
 
 
 # -- independent oracle (no bitsets, plain sets) -----------------------
@@ -542,7 +522,8 @@ def _walk_zero_sum(
     later_hi = [max(order[i + 1 :], default=0) for i in range(len(order))]
 
     height = min(t, length - t) if length >= t else 0
-    offset, stride, mask = _geometry(k, height)
+    offset, _, stride = _layout(BoundedSequence(k, ((-k, length + 1), (k, length + 1))), height)
+    mask = (1 << (height + 1) * stride) - 1
     zero_at_height = height * stride + offset
     # A count of ``vcap[i]`` makes the value at i free; with no rows, no non-zero count reaches it.
     vcap = [max(k * height // (k + abs(v)), 1) if height else length + 1 for v in order]

@@ -7,10 +7,13 @@ trusting either alone.  The oracle is itself checked against
 ``recursive_pairs``, an explicit recursion over every copy count.
 """
 
-import dataclasses
 import itertools
+import os
 import random
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +27,6 @@ from zsseq import (
     brute_force_pairs,
     brute_force_spectrum,
     build_table,
-    check_complement_duality,
     enumerate_extremal,
     estimate_table_bytes,
     find_zero_sum_of_length,
@@ -199,27 +201,10 @@ def test_complement_duality_on_zero_sum_sequences(k, data):
         total += step
     s = BoundedSequence.from_elements(elements, bound=k)
     assert s.sigma == 0
-    for t in range(s.length + 1):
-        assert check_complement_duality(s, t)
-
-
-def test_complement_duality_catches_a_corrupted_row(monkeypatch):
-    # Flipping the zero bit of row t in the height-t table must be noticed,
-    # so the check reads two independently built rows.
-    s = parse_sequence("2^2,1^3,-1^5,-2^1")
-    t = 4
-    assert check_complement_duality(s, t)
-    real = detect.build_table
-
-    def corrupted(seq, max_length, *args, **kwargs):
-        table = real(seq, max_length, *args, **kwargs)
-        if max_length != t:
-            return table
-        return dataclasses.replace(table, packed=table.packed ^ 1 << t * table.stride + table.offset)
-
-    monkeypatch.setattr(detect, "build_table", corrupted)
-    assert not check_complement_duality(s, t)
-    assert not check_complement_duality(s, s.length - t)
+    # The rest of a zero-sum sequence after a zero-sum piece is zero-sum,
+    # so its spectrum is symmetric about n / 2.
+    lengths = spectrum(s).lengths
+    assert {s.length - t for t in lengths} == lengths
 
 
 @pytest.mark.parametrize(
@@ -284,13 +269,6 @@ def test_a_tall_table_has_a_printable_repr():
     assert "max_length=60" in repr(table)
 
 
-def test_complement_duality_preconditions():
-    with pytest.raises(PreconditionError):
-        check_complement_duality(parse_sequence("1^1"), 0)
-    with pytest.raises(PreconditionError):
-        check_complement_duality(parse_sequence("1^1,-1^1"), 3)
-
-
 def test_bad_kernel_witness_raises_cross_check_error(monkeypatch):
     # A witness of the wrong length must be refused, also under ``python -O``.
     bogus = parse_sequence("1^1,-1^1")
@@ -300,11 +278,31 @@ def test_bad_kernel_witness_raises_cross_check_error(monkeypatch):
 
 
 def test_memory_cap_refusal():
-    s = parse_sequence("1^100000,-1^100000")
-    with pytest.raises(ResourceLimitError):
-        spectrum(s, memory_limit=10_000)
+    # The refusal must come before the row mask, here an int of about 5 GB,
+    # is made.  The build runs in a child capped at 1 GiB of address space,
+    # so a kernel that makes the mask first fails this test, not the run.
+    child = textwrap.dedent(
+        """
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from zsseq import ResourceLimitError, parse_sequence, spectrum
+        try:
+            spectrum(parse_sequence("1^100000,-1^100000"), memory_limit=10_000)
+        except ResourceLimitError:
+            print("refused")
+        """
+    )
+    src = Path(detect.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", child],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "refused\n"), done.stderr
     with pytest.raises(PreconditionError):
-        build_table(s, -1)
+        build_table(parse_sequence("1^100000,-1^100000"), -1)
 
 
 def test_estimate_grows_with_length():
@@ -386,9 +384,16 @@ def test_each_layer_is_the_table_of_its_value_prefix():
             own = build_table(prefix, table.max_length)
             assert (layer.source, layer.max_length) == (prefix, own.max_length)
             assert list(layer.achievable_pairs()) == list(own.achievable_pairs()), (s, i)
-            # Witnesses on both sides of the layer, the mirrored ones included.
-            for length in range(prefix.length + 1):
+            # Witnesses on both sides of the layer, the mirrored ones included;
+            # a length between the sides is refused by both tables.
+            c, n = table.max_length, prefix.length
+            for length in range(n + 1):
                 for total in (0, prefix.sigma - 1, 1):
+                    if c < length < n - c:
+                        for answer in (layer, own):
+                            with pytest.raises(PreconditionError):
+                                answer.witness(length, total)
+                        continue
                     found = layer.witness(length, total)
                     assert found == own.witness(length, total), (s, i, length, total)
                     if found is not None:
@@ -397,13 +402,35 @@ def test_each_layer_is_the_table_of_its_value_prefix():
 
 
 def symmetric_table(s, c):
-    """The table of height c with every row over [-k * c, k * c], the walker's symmetric layout."""
-    offset, stride, mask = detect._geometry(s.bound, c)
+    """The table of height c with every row over [-k * c, k * c] and a pad of k bits."""
+    offset = s.bound * c
+    stride = 2 * offset + 1 + s.bound
+    mask = (1 << (c + 1) * stride) - 1
     packed, snapshots = 1 << offset, []
     for value, mult in s.terms:
         packed = detect._add_up_to(packed, value, mult, c, stride, mask)
         snapshots.append(packed)
     return LengthSumTable(s, c, offset, 2 * offset + 1, stride, packed, tuple(snapshots))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_the_walker_lays_out_its_rows_as_for_k_and_minus_k(k, monkeypatch):
+    # The walker's window is _layout's for copies of -k and k: offset k * h,
+    # width 2kh + 1 and a pad of k bits, so the stride is k + 1 at h = 0.
+    seen = []
+    real = detect._layout
+
+    def recording(s, height):
+        seen.append(real(s, height))
+        return seen[-1]
+
+    monkeypatch.setattr(detect, "_layout", recording)
+    # (length, t) at h = min(t, length - t), then the enumeration's t = length + 1 at h = 0.
+    for length, t, h in [*((2 * h + 1, h, h) for h in range(41)), (5, 6, 0)]:
+        with pytest.raises(detect._WalkCapped):
+            detect._walk_zero_sum(k, length, lambda s: None, t, max_nodes=0)
+        assert seen == [(k * h, 2 * k * h + 1, 2 * k * h + 1 + k)], (k, length, t)
+        seen.clear()
 
 
 def test_the_reachable_window_answers_as_the_symmetric_one():
@@ -422,6 +449,11 @@ def test_the_reachable_window_answers_as_the_symmetric_one():
             assert list(table.achievable_pairs()) == list(old.achievable_pairs()), (s, c)
             for length in range(s.length + 1):
                 for total in range(-k * c - 1, k * c + 2):
+                    if c < length < s.length - c:  # held by neither table
+                        for answer in (table, old):
+                            with pytest.raises(PreconditionError):
+                                answer.reachable(length, total)
+                        continue
                     expected = old.reachable(length, total)
                     assert table.reachable(length, total) == expected, (s, c, length, total)
                     if expected:
@@ -443,7 +475,7 @@ def test_short_side_witness_equals_the_full_height_witness():
 
 def test_reachable_on_both_sides_matches_the_oracle():
     # A table of height h answers [0, h] and [n - h, n] exactly, with valid
-    # witnesses, and nothing else.
+    # witnesses, refuses the lengths between, and reaches no other length.
     rng = random.Random(5)
     for trial in range(60):
         k = 1 + trial % 4
@@ -455,6 +487,12 @@ def test_reachable_on_both_sides_matches_the_oracle():
             answered = set(range(h + 1)) | set(range(n - h, n + 1))
             for length in range(-2, n + 3):
                 for total in range(-k * n - 1, k * n + 2):
+                    if h < length < n - h:
+                        with pytest.raises(PreconditionError):
+                            table.reachable(length, total)
+                        with pytest.raises(PreconditionError):
+                            table.witness(length, total)
+                        continue
                     expected = length in answered and (length, total) in pairs
                     assert table.reachable(length, total) == expected, (s, h, length, total)
                     w = table.witness(length, total)
