@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -400,8 +401,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # argparse takes "-2^1,1^2" for a flag, as it is no plain negative
+    # number; bind such a value to the option before it.
+    tokens: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1] in ("--seq", "--values") and re.match(r"-\d", token):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    args = _build_parser().parse_args(tokens)
     try:
         envelope = args.handler(args)
     except ResourceLimitError as exc:

@@ -149,15 +149,13 @@ def _without_one(s: BoundedSequence, f: int) -> BoundedSequence:
 
 def _rewrite(s: BoundedSequence, x: BlockX, j: int, f: int, rest: BoundedSequence) -> ReduceStep:
     """The step that removes T = rest + {f} from s and inserts j blocks."""
-    piece = rest.as_dict()
-    piece[f] = piece.get(f, 0) + 1
+    removed = BoundedSequence.from_terms([*rest.terms, (f, 1)], s.bound)
     counts = dict(s.terms)
-    for value, mult in piece.items():
+    for value, mult in removed.terms:
         counts[value] -= mult
-    for value, mult in x.block.terms:
-        counts[value] = counts.get(value, 0) + j * mult
-    removed = BoundedSequence.from_terms(piece, s.bound)
-    return ReduceStep(BoundedSequence.from_terms(counts, max(s.bound, x.block.bound)), removed, j)
+    added = [(value, j * mult) for value, mult in x.block.terms]
+    result = BoundedSequence.from_terms([*counts.items(), *added], max(s.bound, x.block.bound))
+    return ReduceStep(result, removed, j)
 
 
 def reduce_fixpoint(

@@ -302,12 +302,8 @@ def family_generator(
     q = report.failing_prime_power
     if q is None:  # pragma: no cover - divisibility_condition names one when it fails
         raise CrossCheckError(f"k={k}, t={t} fails the divisibility test with no prime power")
-    if q == 2:
-        a, b = 1, 1
-    elif q % 2:
-        a, b = (q + 1) // 2, (q - 1) // 2
-    else:
-        a, b = q // 2 + 1, q // 2 - 1
+    a = 1 if q == 2 else q // 2 + 1
+    b = q - a
     if not (a + b == q and 1 <= b <= a <= k and gcd(a, b) == 1):  # pragma: no cover
         raise CrossCheckError(f"split {a} + {b} of q={q} is not a coprime pair within [1, {k}]")
     x = build_block(a, b)

@@ -1,9 +1,10 @@
 """Core data model: finite integer multisets with a symmetric bound.
 
 A sequence here is an unordered multiset of integers drawn from
-[-bound, bound], stored canonically as (value, multiplicity) pairs sorted
-by ascending value.  Order never matters to any operation in this package,
-so two sequences are equal exactly when their bounds and term maps agree.
+[-bound, bound], stored as its bound and its (value, multiplicity) pairs
+sorted by ascending value; ``multiplicity`` scans those pairs.  Order never
+matters to any operation in this package, so two sequences are equal
+exactly when their bounds and term maps agree.
 
 Text grammar (whitespace ignored): ``term ("," term)*`` where
 ``term := integer ["^" positive-integer]``.  Repeated terms accumulate, so
@@ -14,6 +15,7 @@ zero-multiplicity entries are never stored.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, fields, is_dataclass
 
@@ -36,10 +38,11 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 class BoundedSequence:
     """Multiset of integers from [-bound, bound].
 
+    It holds ``bound``, ``terms`` and the cached length, nothing else.
     ``terms`` must be a tuple of (value, multiplicity) pairs sorted by
     strictly ascending value with every multiplicity >= 1; use
-    :meth:`from_terms` / :meth:`from_elements` to build one from unsorted
-    or mapping-shaped input.
+    :meth:`from_terms`, the one place that adds up pairs sharing a value,
+    to build one from unsorted or mapping-shaped input.
     """
 
     bound: int
@@ -64,7 +67,6 @@ class BoundedSequence:
                 f"length {total} with bound {self.bound} exceeds the 63-bit guard"
             )
         object.__setattr__(self, "_length", total)
-        object.__setattr__(self, "_by_value", dict(self.terms))
 
     # -- construction -------------------------------------------------
 
@@ -94,10 +96,7 @@ class BoundedSequence:
 
     @classmethod
     def from_elements(cls, elements: Iterable[int], bound: int | None = None) -> "BoundedSequence":
-        acc: dict[int, int] = {}
-        for e in elements:
-            acc[e] = acc.get(e, 0) + 1
-        return cls.from_terms(acc, bound)
+        return cls.from_terms(Counter(elements), bound)
 
     # -- basic queries -------------------------------------------------
 
@@ -114,7 +113,7 @@ class BoundedSequence:
         return tuple(value for value, _ in self.terms)
 
     def multiplicity(self, value: int) -> int:
-        return self._by_value.get(value, 0)  # type: ignore[attr-defined]
+        return next((m for v, m in self.terms if v == value), 0)
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.terms)
@@ -150,7 +149,7 @@ def to_json(value):
 def parse_sequence(text: str, bound: int | None = None) -> BoundedSequence:
     """Parse the text grammar; with ``bound`` given, values are checked against it."""
     stripped = re.sub(r"\s+", "", text)
-    acc: dict[int, int] = {}
+    pairs: list[tuple[int, int]] = []
     if stripped:
         for part in stripped.split(","):
             m = _TERM_RE.match(part)
@@ -160,8 +159,8 @@ def parse_sequence(text: str, bound: int | None = None) -> BoundedSequence:
             mult = 1 if m.group(2) is None else _int(m.group(2), part)
             if mult == 0:
                 raise SequenceSyntaxError(f"zero multiplicity in term {part!r}")
-            acc[value] = acc.get(value, 0) + mult
-    return BoundedSequence.from_terms(acc, bound)
+            pairs.append((value, mult))
+    return BoundedSequence.from_terms(pairs, bound)
 
 
 def parse_integers(text: str) -> list[int]:
@@ -189,15 +188,13 @@ def format_sequence(s: BoundedSequence) -> str:
 
 def concat(s: BoundedSequence, t: BoundedSequence) -> BoundedSequence:
     """Multiset union; the result carries the larger of the two bounds."""
-    acc = dict(s.terms)
-    for value, mult in t.terms:
-        acc[value] = acc.get(value, 0) + mult
-    return BoundedSequence.from_terms(acc, max(s.bound, t.bound))
+    return BoundedSequence.from_terms([*s.terms, *t.terms], max(s.bound, t.bound))
 
 
 def is_subsequence(t: BoundedSequence, s: BoundedSequence) -> bool:
     """True when every multiplicity of t is <= the matching one in s."""
-    return all(s.multiplicity(value) >= mult for value, mult in t.terms)
+    counts = dict(s.terms)
+    return all(counts.get(value, 0) >= mult for value, mult in t.terms)
 
 
 def remove(s: BoundedSequence, t: BoundedSequence) -> BoundedSequence:
@@ -212,7 +209,7 @@ def remove(s: BoundedSequence, t: BoundedSequence) -> BoundedSequence:
 
 def negate(s: BoundedSequence) -> BoundedSequence:
     """Flip the sign of every value."""
-    return BoundedSequence(s.bound, tuple(sorted((-v, m) for v, m in s.terms)))
+    return BoundedSequence(s.bound, tuple((-v, m) for v, m in reversed(s.terms)))
 
 
 def repeat(s: BoundedSequence, count: int) -> BoundedSequence:

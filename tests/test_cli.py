@@ -135,6 +135,7 @@ USAGE_MESSAGES = {
         ["complete-block", "--seq", "1^2", "--alpha", "1", "--beta", "1", "--memory-limit", "5"],
         ["constant", "--k", "abc", "--t", "6"],
         ["search-longest", "--k", "2", "--t", "6", "--ceiling", "12", "--time-limit", "abc"],
+        ["check", "--seq", "--t", "3"],  # a flag is not the sequence text
     ],
 )
 def test_usage_errors_exit_2(run, argv, capsys):
@@ -256,6 +257,21 @@ def test_complete_block_human_lines(run):
     code, out, _ = run("complete-block", "--seq", "1^1", "--alpha", "3", "--beta", "2")
     assert code == 0
     assert out.splitlines() == ["completed: -2^2,1^1,3^1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--seq", "-2^1,1^2", "--t", "3"],
+        ["spectrum", "--seq", "-2^3,1^4,3"],
+        ["davenport", "--values", "-5,3,2", "--modulus", "3"],
+    ],
+)
+def test_a_leading_minus_sign_reads_as_the_value(run, argv):
+    joined = argv[:1] + [f"{argv[1]}={argv[2]}"] + argv[3:]
+    expected = run(*joined)
+    assert expected[0] == 0
+    assert run(*argv) == expected
 
 
 def test_davenport_json(run):

@@ -111,6 +111,7 @@ def test_from_elements():
     s = BoundedSequence.from_elements([1, -2, 1, 0])
     assert s.terms == ((-2, 1), (0, 1), (1, 2))
     assert s.bound == 2
+    assert BoundedSequence.from_elements([]) == BoundedSequence(1)
 
 
 def test_direct_construction_validates():
@@ -181,3 +182,4 @@ def test_sequences_are_hashable_and_frozen():
     assert hash(s) == hash(parse_sequence("1^2,-1^2"))
     with pytest.raises(AttributeError):
         s.bound = 3
+    assert vars(s).keys() == {"bound", "terms", "_length"}
