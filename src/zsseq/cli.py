@@ -104,7 +104,7 @@ def _positive_float(text: str) -> float:
 
 
 def _load_sequence(args: argparse.Namespace) -> BoundedSequence:
-    if getattr(args, "seq_file", None) is not None:
+    if args.seq_file is not None:
         try:
             text = Path(args.seq_file).read_text()
         except OSError as exc:
@@ -402,10 +402,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     # argparse takes "-2^1,1^2" for a flag, as it is no plain negative
-    # number; bind such a value to the option before it.
+    # number; bind such a value to the option before it, named in full or
+    # by a prefix, and let argparse resolve or refuse the prefix.
     tokens: list[str] = []
     for token in sys.argv[1:] if argv is None else argv:
-        if tokens and tokens[-1] in ("--seq", "--values") and re.match(r"-\d", token):
+        option = tokens[-1] if tokens else ""
+        if (
+            len(option) > 2
+            and ("--seq".startswith(option) or "--values".startswith(option))
+            and re.match(r"-\d", token)
+        ):
             tokens[-1] += "=" + token
         else:
             tokens.append(token)
@@ -428,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _emit_failure(args: argparse.Namespace, message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps({"status": _STATUS[code], "payload": {"error": message}}, sort_keys=True))
     return code
 

@@ -58,23 +58,13 @@ and ``selftest`` compare the two routes.
 
 Every exhaustive walk over zero-sum multisets in [-k, k] goes through one
 walker, :func:`_walk_zero_sum`, whose leaves are the multisets that avoid
-a length t.  Every walk carries a packed kernel table along a branch to
-test that.  The rows stop at height h = min(t, length - t), so the walk
-fixes capped multiplicities: a zero-sum piece of length h holds at most
-m_v = floor(k * h / (k + |v|)) copies of v, so a count of m_v (at least
-1) stands for every count from there up, and the multisets of one capped
-profile are the solutions of two linear equations in the extra copies.
-0 comes last and takes its counts in the same loop as every other value;
-it never reaches its cap m_0 = h, because h zeros contain.  The
-enumeration here asks for t = length + 1, which no multiset of that
-length contains, so its walk carries the empty table and every zero-sum
-multiset is a leaf.  There 0's cap is 0, so it is free from the start.
-The walk's rows take :func:`_layout`'s window for length + 1 copies each
-of -k and k, which bounds every walk: offset k * h, stride 2kh + 1 + k.
+a length t: it carries a packed kernel table along each branch to test
+that.  :func:`iter_zero_sum_sequences` is its walk with the empty table.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -485,11 +475,15 @@ def _walk_zero_sum(
     The kernel rows of lengths <= h are carried along the branch as one
     packed int, extended one copy at a time (a node rebinds it, so nothing
     is copied); a free value enters them with its cap's copies, which row
-    h's zero-sum bit cannot tell from more.  A branch is cut the moment it
+    h's zero-sum bit cannot tell from more.  They take :func:`_layout`'s
+    window for length + 1 copies each of -k and k, which bounds every
+    walk: offset k * h, stride 2kh + 1 + k.  A branch is cut the moment it
     contains a zero-sum of length h, and once the free values and the
     values still to come cannot fill the remaining length and cancel the
-    partial sum (a free value widens both bounds, and bounds every later
-    value, whose |value| is smaller).  Each count of 0 is solved at once:
+    partial sum.  The values after a span [-a, a - 1], and those after -a
+    span [1 - a, a - 1]; a free value widens that window on its own side,
+    and bounds every later value, whose |value| is smaller.  Each count
+    of 0 is solved at once:
     with F and T the profile's length and sum counting each free value at
     its cap, every solution e >= 0 of sum(e_v) = length - F and
     sum(v * e_v) = -T over the free values is a leaf multiset.  With no
@@ -506,20 +500,20 @@ def _walk_zero_sum(
 
     Nodes are counted on from ``nodes``, so a search made of several
     walks keeps one count for ``max_nodes``, the ``time.monotonic()``
-    ``deadline`` (checked every 1024 nodes, at every leaf solution, and
-    at each depth a leaf solve enumerates)
-    and ``progress(nodes)`` (every 65536).  Returns the count.  Raises
-    :class:`_WalkCapped`, carrying the count so far, when ``max_nodes`` is
-    exceeded or the deadline passed, and :class:`PreconditionError` for k
-    above :data:`WALK_MAX_K`.
+    ``deadline`` and ``progress(nodes)``.  One block reads them, at each
+    count that is a multiple of 1024 and at ``max_nodes`` + 1 (at the
+    first node if ``nodes`` starts past ``max_nodes``): the node cap
+    first, so a node that both reach stops on the cap, then the clock,
+    then progress, at multiples of 65536.  The clock is read again at
+    every leaf solution and at each depth a leaf solve enumerates.
+    Returns the count.  Raises :class:`_WalkCapped`, carrying the count
+    so far, when ``max_nodes`` is exceeded or the deadline passed, and
+    :class:`PreconditionError` for k above :data:`WALK_MAX_K`.
     """
     if k > WALK_MAX_K:
         raise PreconditionError(f"k must be <= {WALK_MAX_K} for an exhaustive walk, got {k}")
     order = [v for a in range(k, 0, -1) for v in (a, -a)] + [0]
     last = len(order) - 1
-    # Range of the values after index i; every remaining slot takes one.
-    later_lo = [min(order[i + 1 :], default=0) for i in range(len(order))]
-    later_hi = [max(order[i + 1 :], default=0) for i in range(len(order))]
 
     height = min(t, length - t) if length >= t else 0
     offset, _, stride = _layout(BoundedSequence(k, ((-k, length + 1), (k, length + 1))), height)
@@ -533,36 +527,27 @@ def _walk_zero_sum(
     # The count fixed at each position of ``order``; 0 past the current node.
     profile = [0] * len(order)
 
-    checkpoint = 0  # the first node takes the slow path, which sets the next checkpoint
-
-    def at_checkpoint() -> None:
-        # The caps are read here only: at multiples of 1024 and at max_nodes + 1.
-        nonlocal checkpoint
-        if max_nodes is not None and nodes > max_nodes:
-            raise _WalkCapped("node-limit", nodes - 1)
-        if nodes % 1024 == 0:
-            if deadline is not None and time.monotonic() > deadline:
-                raise _WalkCapped("time-limit", nodes - 1)
-            if progress is not None and nodes % 65536 == 0:
-                progress(nodes)
-        checkpoint = nodes - nodes % 1024 + 1024
-        if max_nodes is not None and max_nodes < checkpoint:
-            checkpoint = max_nodes + 1
+    stop = max_nodes + 1 if max_nodes is not None else sys.maxsize
 
     def descend(
         i: int, left: int, total: int, packed: int, tied: bool, free_lo: int, free_hi: int
     ) -> None:
         nonlocal nodes
         nodes += 1
-        if nodes >= checkpoint:
-            at_checkpoint()
+        if not nodes & 1023 or nodes >= stop:
+            if nodes >= stop:
+                raise _WalkCapped("node-limit", nodes - 1)
+            if deadline is not None and time.monotonic() > deadline:
+                raise _WalkCapped("time-limit", nodes - 1)
+            if progress is not None and not nodes & 65535:
+                progress(nodes)
         value = order[i]
         leaf = i == last
         if leaf:  # 0's position: each of its counts is solved for the free values
             free = [v for v, c, m in zip(order, profile, vcap) if c == m]
-        # A free value bounds every later one, whose |value| is smaller.
-        lo = free_lo or later_lo[i]
-        hi = free_hi or later_hi[i]
+        # The window of the later values, unless a free value bounds it.
+        lo = free_lo or (-value if value > 0 else value + 1)
+        hi = free_hi or abs(value) - 1
         # Sign cut: while every pair so far is tied, -a (right after a) takes at most a's count.
         partner = profile[i - 1] if tied and value < 0 else None
         most = left if partner is None or partner > left else partner
@@ -577,7 +562,7 @@ def _walk_zero_sum(
                 if packed >> zero_at_height & 1:
                     break  # now containing; more copies stay containing
                 profile[i] = copies
-                if copies == cap:  # a free value widens the window on its own side
+                if copies == cap:  # now free
                     if value > 0:
                         free_hi = hi = free_hi or value
                     else:

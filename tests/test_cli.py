@@ -136,6 +136,9 @@ USAGE_MESSAGES = {
         ["constant", "--k", "abc", "--t", "6"],
         ["search-longest", "--k", "2", "--t", "6", "--ceiling", "12", "--time-limit", "abc"],
         ["check", "--seq", "--t", "3"],  # a flag is not the sequence text
+        # a prefix that names two options stays refused when a value is joined to it
+        ["check", "--se", "-2^1", "--t", "3"],  # --seq or --seq-file
+        ["selftest", "--s", "-5"],  # --seed or --scale
     ],
 )
 def test_usage_errors_exit_2(run, argv, capsys):
@@ -265,6 +268,9 @@ def test_complete_block_human_lines(run):
         ["check", "--seq", "-2^1,1^2", "--t", "3"],
         ["spectrum", "--seq", "-2^3,1^4,3"],
         ["davenport", "--values", "-5,3,2", "--modulus", "3"],
+        ["davenport", "--val", "-5,3,2", "--modulus", "3"],
+        ["davenport", "--v", "-5,3,2", "--modulus", "3"],
+        ["selftest", "--se", "-5", "--scale", "0.001"],  # --seed
     ],
 )
 def test_a_leading_minus_sign_reads_as_the_value(run, argv):

@@ -164,6 +164,40 @@ def test_walk_reads_the_clock_on_the_count_carried_across_walks():
     assert (capped.value.reason, capped.value.nodes) == ("time-limit", 1023)
 
 
+def test_the_node_cap_wins_over_the_clock_on_a_shared_node():
+    # Node 1,024 is both max_nodes + 1 and a clock read; the cap is read first.
+    walk = zsseq.detect._walk_zero_sum
+    with pytest.raises(zsseq.detect._WalkCapped) as capped:
+        walk(2, 28, lambda s: None, 24, max_nodes=1023, deadline=0.0, nodes=1000)
+    assert (capped.value.reason, capped.value.nodes) == ("node-limit", 1023)
+
+
+def test_the_node_cap_stops_at_max_nodes_plus_one():
+    # The walk at 28 is 32 nodes; a count handed in past the cap stops at its first node.
+    walk = zsseq.detect._walk_zero_sum
+    assert walk(2, 28, lambda s: None, 24, max_nodes=32) == 32
+    for max_nodes, nodes, stopped in [(31, 0, 31), (10, 50, 50)]:
+        with pytest.raises(zsseq.detect._WalkCapped) as capped:
+            walk(2, 28, lambda s: None, 24, max_nodes=max_nodes, nodes=nodes)
+        assert (capped.value.reason, capped.value.nodes) == ("node-limit", stopped)
+
+
+def test_the_clock_is_read_every_1024_nodes_and_progress_every_65536():
+    # Counted on from 1,024, the 32-node walk at 28 reaches no multiple of 1,024.
+    walk = zsseq.detect._walk_zero_sum
+    assert walk(2, 28, lambda s: None, 24, deadline=0.0, nodes=1024) == 1056
+    calls = []
+    assert walk(2, 28, lambda s: None, 24, progress=calls.append, nodes=1000) == 1032
+    assert walk(2, 28, lambda s: None, 24, progress=calls.append, nodes=65526) == 65558
+    assert walk(2, 28, lambda s: None, 24, progress=calls.append, nodes=65536) == 65568
+    assert calls == [65536]
+    # A past deadline stops the walk at node 65,536 before progress is reported.
+    with pytest.raises(zsseq.detect._WalkCapped) as capped:
+        walk(2, 28, lambda s: None, 24, deadline=0.0, progress=calls.append, nodes=65526)
+    assert (capped.value.reason, capped.value.nodes) == ("time-limit", 65535)
+    assert calls == [65536]
+
+
 def test_an_empty_leaf_solve_reads_the_clock():
     # This solve of four free values finds nothing; the deadline is read
     # before anything else, so a past one stops it, with the walk's count.
