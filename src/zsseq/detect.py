@@ -45,7 +45,12 @@ layered dynamic program over the distinct values of s:
   deterministic across runs and platforms.  A length above c is recovered
   by walking its complement target with the largest feasible count first
   and keeping the copies left over: the same multiset a table of full
-  height would give.
+  height would give.  Taking c copies of v back from (j, sigma) lands on
+  bit j * stride + sigma + offset - c * (stride + v): every count of one
+  value lies on one diagonal, spaced by the step the build shifted by.
+  So a value with many candidate counts is read with one shift and a
+  comb, and a witness costs at most 4 shifts of a snapshot per value
+  walked; the walk stops at the value where no copies are left to take.
 
 The memory footprint is estimated up-front from (snapshots x rows x window
 bits); if it would exceed the configured cap the build is refused with
@@ -182,40 +187,75 @@ class LengthSumTable:
     def witness(self, length: int, total: int = 0) -> BoundedSequence | None:
         """Recover one subsequence achieving (length, total), or None.
 
-        A length the table does not hold is refused, as by :meth:`reachable`.
-        Walks the snapshots backwards, taking the smallest feasible copy
-        count of each value, which makes the result deterministic.  A
-        length above ``max_length`` walks the complement target with the
-        largest feasible count first and keeps the copies left over, which
-        is the multiset the smallest-first walk of a taller table returns.
+        A table built without layers, and a length the table does not
+        hold, are refused (the latter as by :meth:`reachable`).  Walks the
+        snapshots backwards, taking the smallest feasible copy count of
+        each value, which makes the result deterministic.  A length above
+        ``max_length`` walks the complement target with the largest
+        feasible count first and keeps the copies left over, which is the
+        multiset the smallest-first walk of a taller table returns.
+
+        The counts of one value lie on one diagonal of its snapshot, bit
+        (j - c) * ``stride`` + sigma - c * value + ``offset`` for c copies,
+        and the counts whose sum stays in the window are 0 .. hi.  When at
+        most 3 copies can be taken, each count is tested with one shift;
+        otherwise one shift and a comb of hi + 1 bits ``stride`` + value
+        apart, built by doubling, read them all: the top hit is the
+        smallest count and the lowest hit the largest.  So each value costs
+        at most 4 shifts of a snapshot, plus O(log hi) of the smaller comb,
+        instead of one shift of the snapshot per count tried.  Once no
+        copies are left to take, the values not walked take none (keep
+        all, on the mirrored side), and the sum must be 0.
         """
-        if not self.reachable(length, total):
-            return None
         if len(self.snapshots) != len(self.source.terms):
             raise PreconditionError("table was built without layers; witnesses unavailable")
+        if not self.reachable(length, total):
+            return None
         mirrored = length > self.max_length
         if mirrored:
             length, total = self.source.length - length, self.source.sigma - total
         taken: list[tuple[int, int]] = []  # (value, copies) from the largest value down
         j, sigma = length, total
-        terms = self.source.terms
-        for i in range(len(terms) - 1, -1, -1):
+        offset, width, stride, terms = self.offset, self.width, self.stride, self.source.terms
+        i = len(terms)
+        while i and j:  # at j = 0 every value left takes no copies
+            i -= 1
             value, mult = terms[i]
-            prev = self.snapshots[i - 1] if i else 1 << self.offset
-            tries = range(min(mult, j) + 1)
-            for copies in reversed(tries) if mirrored else tries:
-                pos = sigma - copies * value + self.offset
-                if 0 <= pos < self.width and prev >> (j - copies) * self.stride + pos & 1:
-                    kept = mult - copies if mirrored else copies
-                    if kept:
-                        taken.append((value, kept))
-                    j -= copies
-                    sigma -= copies * value
-                    break
-            else:  # pragma: no cover - impossible if the table is consistent
-                raise CrossCheckError("witness backtracking lost a reachable state")
-        if j or sigma:  # pragma: no cover - impossible if the table is consistent
+            prev = self.snapshots[i - 1] if i else 1 << offset
+            most = mult if mult < j else j
+            if most <= 3:  # a few counts: test each, one shift apiece
+                tries = range(most + 1)
+                for copies in reversed(tries) if mirrored else tries:
+                    pos = sigma - copies * value + offset
+                    if 0 <= pos < width and prev >> (j - copies) * stride + pos & 1:
+                        break
+                else:
+                    copies = -1
+            else:  # one shift reads every count off the diagonal, through a comb
+                # Count c is bit top - c * step, read by tooth hi - c of the comb.
+                top, step, hi = j * stride + sigma + offset, stride + value, most
+                if value > 0:
+                    hi = min(hi, (sigma + offset) // value)
+                elif value < 0:
+                    hi = min(hi, (width - 1 - sigma - offset) // -value)
+                comb, teeth = 1, 1
+                while teeth <= hi:
+                    comb |= comb << teeth * step
+                    teeth <<= 1
+                hits = prev >> top - hi * step & comb >> (teeth - 1 - hi) * step
+                hit = hits & -hits if mirrored else hits  # read at its top bit
+                copies = hi - (hit.bit_length() - 1) // step if hits else -1
+            if copies < 0:
+                raise CrossCheckError(f"witness backtracking lost a reachable state at value {value}")
+            kept = mult - copies if mirrored else copies
+            if kept:
+                taken.append((value, kept))
+            j -= copies
+            sigma -= copies * value
+        if j or sigma:
             raise CrossCheckError(f"witness backtracking ended at ({j}, {sigma}), not (0, 0)")
+        if mirrored:  # the values not walked keep every copy
+            taken.extend(reversed(terms[:i]))
         return BoundedSequence(self.source.bound, tuple(reversed(taken)))
 
 

@@ -13,6 +13,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -170,11 +171,13 @@ def test_out_of_range_targets_are_absent():
 
 
 def test_layerless_table_rejects_witness_queries():
+    # Refused whether or not the pair is reachable.
     s = parse_sequence("1^2,-1^2")
-    table = build_table(s, s.length, keep_layers=False)
-    assert table.reachable(2, 0)
-    with pytest.raises(PreconditionError):
-        table.witness(2, 0)
+    table = build_table(s, 4, keep_layers=False)
+    assert table.reachable(2, 0) and not table.reachable(2, 1)
+    for total in (0, 1):
+        with pytest.raises(PreconditionError):
+            table.witness(2, total)
 
 
 def test_large_multiplicities_use_binary_decomposition():
@@ -411,6 +414,85 @@ def symmetric_table(s, c):
         packed = detect._add_up_to(packed, value, mult, c, stride, mask)
         snapshots.append(packed)
     return LengthSumTable(s, c, offset, 2 * offset + 1, stride, packed, tuple(snapshots))
+
+
+def per_copy_witness(table, length, total=0):
+    """``table.witness`` by testing each copy count of each value with its own shift."""
+    if not table.reachable(length, total):
+        return None
+    mirrored = length > table.max_length
+    if mirrored:
+        length, total = table.source.length - length, table.source.sigma - total
+    taken, j, sigma = [], length, total
+    terms = table.source.terms
+    for i in range(len(terms) - 1, -1, -1):
+        value, mult = terms[i]
+        prev = table.snapshots[i - 1] if i else 1 << table.offset
+        tries = range(min(mult, j) + 1)
+        for copies in reversed(tries) if mirrored else tries:
+            pos = sigma - copies * value + table.offset
+            if 0 <= pos < table.width and prev >> (j - copies) * table.stride + pos & 1:
+                break
+        else:
+            raise AssertionError("the table lost a reachable state")
+        kept = mult - copies if mirrored else copies
+        if kept:
+            taken.append((value, kept))
+        j -= copies
+        sigma -= copies * value
+    assert (j, sigma) == (0, 0)
+    return BoundedSequence(table.source.bound, tuple(reversed(taken)))
+
+
+def test_witness_reads_the_counts_the_per_copy_tests_read():
+    # Both paths of witness, a few counts tested one by one and many read
+    # through one comb, must pick the count the per-copy loop picks, on
+    # both sides of the complement and at nonzero totals.
+    rng = random.Random(20261020)
+    for trial in range(240):
+        k = 1 + trial % 7
+        support = [range(-k, k + 1), range(-k, 0), range(1, k + 1)][trial // 7 % 3]
+        values = rng.sample(support, rng.randint(1, len(support)))
+        s = BoundedSequence.from_terms({v: rng.randint(1, 30) for v in values}, k)
+        n = s.length
+        for c in sorted({0, 1, n // 3, n // 2, n}):
+            table = build_table(s, c)
+            queries = []
+            for j in rng.sample(range(c + 1), min(c + 1, 6)):
+                sums = [b - table.offset for b in range(table.width) if table.rows[j] >> b & 1]
+                queries += [(j, total) for total in rng.sample(sums, min(len(sums), 2))]
+                queries.append((j, rng.randint(-k * j - 1, k * j + 1)))
+            queries += [(n - j, s.sigma - total) for j, total in queries]
+            long_side = range(max(c + 1, n - c), n + 1)
+            queries += [(rng.choice(long_side), rng.randint(-k * n, k * n)) for _ in long_side[:4]]
+            for length, total in queries:
+                expected = per_copy_witness(table, length, total)
+                assert table.witness(length, total) == expected, (s, c, length, total)
+
+
+@pytest.mark.parametrize("text, length", [("1^2,-1^2", 2), ("1^5,-1^5", 4), ("1^5,-1^5", 6)])
+def test_a_snapshot_missing_a_state_raises_cross_check_error(text, length):
+    # Clear the one state the walk can step to below the last value: 2
+    # copies of 1 are tested one by one, 4 are read through the comb.
+    s = parse_sequence(text)
+    table = build_table(s, min(length, s.length - length))
+    assert table.witness(length, 0) is not None
+    half = min(length, s.length - length) // 2
+    state = half * table.stride - half + table.offset
+    assert table.snapshots[0] >> state & 1
+    broken = replace(table, snapshots=(table.snapshots[0] ^ 1 << state, *table.snapshots[1:]))
+    with pytest.raises(CrossCheckError, match="at value 1$"):
+        broken.witness(length, 0)
+
+
+def test_a_walk_that_ends_off_the_zero_sum_raises_cross_check_error():
+    # A false state (0, -2) in place of (1, -1) lets 2 copies of 1 reach
+    # length 0 at sum -2, where the walk stops.
+    table = build_table(parse_sequence("1^2,-1^2"), 2)
+    before = table.snapshots[0] ^ 1 << table.stride - 1 + table.offset | 1 << table.offset - 2
+    broken = replace(table, snapshots=(before, table.snapshots[1]))
+    with pytest.raises(CrossCheckError, match=r"ended at \(0, -2\)"):
+        broken.witness(2, 0)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
