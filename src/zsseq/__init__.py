@@ -21,7 +21,6 @@ from .detect import (
     LengthSumTable,
     Spectrum,
     brute_force_pairs,
-    brute_force_spectrum,
     build_table,
     estimate_table_bytes,
     find_zero_sum_of_length,
@@ -80,7 +79,6 @@ __all__ = [
     "SubsequenceError",
     "ZsseqError",
     "brute_force_pairs",
-    "brute_force_spectrum",
     "build_block",
     "build_table",
     "complete_block",

@@ -313,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--memory-limit",
         type=_positive_int,
         default=DEFAULT_MEMORY_LIMIT,
-        help="refuse kernel tables above this many bytes",
+        help="refuse a kernel table whose build is estimated to hold more than this many bytes",
     )
 
     block_common = argparse.ArgumentParser(add_help=False)

@@ -52,14 +52,19 @@ layered dynamic program over the distinct values of s:
   comb, and a witness costs at most 4 shifts of a snapshot per value
   walked; the walk stops at the value where no copies are left to take.
 
-The memory footprint is estimated up-front from (snapshots x rows x window
-bits); if it would exceed the configured cap the build is refused with
-:class:`~zsseq.errors.ResourceLimitError` rather than degrading.
+The memory a build holds is estimated up front, as the table-sized ints
+live at its peak (the snapshots, the running int, the mask and one
+shift-or-mask's temporaries), each sized by CPython's int layout; if it
+would exceed the configured cap the build is refused with
+:class:`~zsseq.errors.ResourceLimitError` rather than degrading.  The cap
+bounds the build only: the ``rows`` and ``layers`` views, decoded later on
+first use (``rows`` by :meth:`LengthSumTable.achievable_pairs`), are
+outside it.
 
-For cross-checking, :func:`brute_force_pairs` / :func:`brute_force_spectrum`
-build the (length, sum) pairs as plain sets of tuples, one value at a time
-and every copy count at once, and never touch the bitset code path; tests
-and ``selftest`` compare the two routes.
+For cross-checking, :func:`brute_force_pairs` builds the (length, sum)
+pairs as plain sets of tuples, one value at a time and every copy count at
+once, and never touches the bitset code path; tests and ``selftest``
+compare the two routes.
 
 Every exhaustive walk over zero-sum multisets in [-k, k] goes through one
 walker, :func:`_walk_zero_sum`, whose leaves are the multisets that avoid
@@ -79,15 +84,19 @@ from typing import Iterator
 from .errors import CrossCheckError, PreconditionError, ResourceLimitError
 from .sequences import BoundedSequence, negate
 
-#: Default cap on the estimated table payload, in bytes (1 GiB).
+#: Default cap on the estimated bytes a table build holds (1 GiB).
 DEFAULT_MEMORY_LIMIT = 1 << 30
 
 #: Largest k a walk accepts: it recurses 2k + 1 deep, within Python's default limit of 1000.
 WALK_MAX_K = 400
 
-# Rough per-row allowance used in the estimate; Python ints are not flat
-# words, and each packed row also carries its pad bits.
-_ROW_OVERHEAD = 48
+# An int of b bits takes a fixed part, then ceil(b / _DIGIT_BITS) digits of _DIGIT_BYTES each.
+_DIGIT_BITS, _DIGIT_BYTES = sys.int_info[:2]
+# The fixed part: the int's header, and 3 pointers for a snapshot's 2 slots, one in the list
+# that collects them (which over-allocates by an eighth) and one in the table's tuple.
+_INT_FIXED = sys.getsizeof(1) - _DIGIT_BYTES + 3 * (sys.getsizeof((None,)) - sys.getsizeof(()))
+# The table object, the headers of its snapshot list and tuple, and the small ints of a build.
+_TABLE_ALLOWANCE = 2048
 
 
 @dataclass(frozen=True)
@@ -178,6 +187,9 @@ class LengthSumTable:
                 row ^= low
 
     def zero_sum_lengths(self) -> frozenset[int]:
+        """Every length of a zero-sum subsequence; the table must hold every length directly."""
+        if self.max_length < self.source.length:
+            raise PreconditionError("zero_sum_lengths needs a table as tall as its source")
         # One linear conversion, then a byte lookup per row: shifting the
         # whole int once per row would cost rows x size.
         data = self.packed.to_bytes(((self.max_length + 1) * self.stride + 7) // 8, "little")
@@ -305,13 +317,31 @@ def _layout(s: BoundedSequence, height: int) -> tuple[int, int, int]:
     return low, width, width - min(s.terms[0][0], 0) if s.terms else width
 
 
-def _table_bytes(stride: int, height: int, layers: int) -> int:
-    return layers * (height + 1) * ((stride + 7) // 8 + _ROW_OVERHEAD)
+def _table_bytes(stride: int, height: int, values: int, keep_layers: bool) -> int:
+    """Bytes live at the peak of a build over ``values`` distinct values, rows 0..height.
+
+    The peak comes while :func:`_add_up_to` adds the last value, and no int
+    live then is wider than two tables of (height + 1) * ``stride`` bits.
+    They are: with layers, the snapshots of the values before it, the last
+    of them the caller's int from before the value (without layers, that
+    int alone); the running int; ``mask``; the shift ``packed << w *
+    (stride + value)``, counted as 2 tables, since a binary chunk w is at
+    most (height + 1) / 2 rows and w * value at most a row's width; and
+    the masked copy of that shift.  So d + 4 ints with layers, 2 + 4
+    without.
+    """
+    int_bytes = _INT_FIXED + -(-(height + 1) * stride // _DIGIT_BITS) * _DIGIT_BYTES
+    return ((values if keep_layers else 2) + 4) * int_bytes + _TABLE_ALLOWANCE
 
 
 def estimate_table_bytes(s: BoundedSequence, max_length: int) -> int:
-    """Estimated payload of ``build_table(s, max_length)``: every snapshot, rows of its stride."""
-    return _table_bytes(_layout(s, max_length)[2], max_length, len(s.terms) + 1)
+    """Estimated peak bytes of ``build_table(s, max_length)``, the bound its memory cap checks.
+
+    It counts the ints the build holds, its snapshots and the temporaries
+    of one shift-or-mask, not the ``rows`` view that
+    :meth:`LengthSumTable.achievable_pairs` decodes later, outside the cap.
+    """
+    return _table_bytes(_layout(s, max_length)[2], max_length, len(s.terms), True)
 
 
 def build_table(
@@ -324,8 +354,7 @@ def build_table(
     if max_length < 0:
         raise PreconditionError(f"max_length must be >= 0, got {max_length}")
     offset, width, stride = _layout(s, max_length)
-    # Without layers only the packed int is kept, and one shifted copy of it is made at a time.
-    estimate = _table_bytes(stride, max_length, len(s.terms) + 1 if keep_layers else 2)
+    estimate = _table_bytes(stride, max_length, len(s.terms), keep_layers)
     if estimate > memory_limit:
         raise ResourceLimitError(
             f"table estimate {estimate} bytes exceeds the {memory_limit}-byte cap"
@@ -391,10 +420,6 @@ def brute_force_pairs(s: BoundedSequence) -> frozenset[tuple[int, int]]:
             (length + c, total + c * value) for c in range(mult + 1) for length, total in pairs
         }
     return frozenset(pairs)
-
-
-def brute_force_spectrum(s: BoundedSequence) -> frozenset[int]:
-    return frozenset(length for length, total in brute_force_pairs(s) if total == 0)
 
 
 def iter_zero_sum_sequences(k: int, length: int) -> Iterator[BoundedSequence]:

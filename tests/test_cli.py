@@ -167,8 +167,8 @@ def test_memory_cap_exit_3(run):
 
 
 def test_memory_cap_follows_the_short_side(run):
-    # t = n - 1 needs a table of height 1 (estimated at 588 bytes); one of
-    # height t would be estimated at 492,594 bytes, far above the cap.
+    # t = n - 1 needs a table of height 1 (estimated at 2,516 bytes); one of
+    # height t would be estimated at 533,444 bytes, far above the cap.
     code, doc, _ = run_json(
         run, "check", "--seq", "2^150,1^100,0^1,-1^200,-2^100", "--t", "550",
         "--memory-limit", "10000",
@@ -238,8 +238,9 @@ def test_reduce_human_lines(run):
 
 
 def test_reduce_tables_fit_the_block_multiple(run):
-    # The j = 1 rewrite needs tables of height 1; a table tall enough for
-    # every j would be estimated at 79,596 bytes, over the cap.
+    # The j = 1 rewrite needs tables of height 1 (estimated at 2,412 bytes);
+    # a table tall enough for every j would be estimated at 78,012 bytes
+    # without the -2 and 78,180 without the 2, over the cap.
     code, out, _ = run(
         "reduce", "--seq", "2^1,-2^1,1^200,-1^200", "--alpha", "1", "--beta", "1",
         "--memory-limit", "10000",

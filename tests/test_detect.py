@@ -13,6 +13,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +27,6 @@ from zsseq import (
     PreconditionError,
     ResourceLimitError,
     brute_force_pairs,
-    brute_force_spectrum,
     build_table,
     enumerate_extremal,
     estimate_table_bytes,
@@ -37,6 +37,7 @@ from zsseq import (
     parse_sequence,
     spectrum,
 )
+from zsseq.selftest import random_zero_sum_of_length
 from zsseq.sequences import BoundedSequence
 
 small_term_dicts = st.dictionaries(
@@ -69,7 +70,9 @@ def test_kernel_matches_oracle_on_fixed_cases(text):
     s = parse_sequence(text)
     table = build_table(s, s.length)
     assert frozenset(table.achievable_pairs()) == brute_force_pairs(s)
-    assert table.zero_sum_lengths() == brute_force_spectrum(s)
+    assert table.zero_sum_lengths() == {
+        length for length, total in brute_force_pairs(s) if total == 0
+    }
 
 
 @given(small_term_dicts)
@@ -130,9 +133,6 @@ def test_oracle_never_touches_the_kernel(monkeypatch):
     monkeypatch.setattr(detect, "_add_up_to", refuse)
     s = parse_sequence("3^2,2^4,1^3,0^2,-1^5,-3^3")
     assert brute_force_pairs(s) == recursive_pairs(s)
-    assert brute_force_spectrum(s) == {
-        length for length, total in recursive_pairs(s) if total == 0
-    }
 
 
 @given(small_term_dicts)
@@ -190,7 +190,7 @@ def test_large_multiplicities_use_binary_decomposition():
 @settings(max_examples=150)
 def test_avoidance_matches_oracle(terms, t):
     s = seq_of(terms)
-    assert is_t_avoiding(s, t) == (t not in brute_force_spectrum(s))
+    assert is_t_avoiding(s, t) == ((t, 0) not in brute_force_pairs(s))
 
 
 @given(st.integers(min_value=1, max_value=3), st.data())
@@ -249,6 +249,46 @@ def test_packed_payload_fits_the_estimate(k):
                 payload = sum(sys.getsizeof(x) for x in held)
                 with pytest.raises(ResourceLimitError):
                     build_table(s, height, memory_limit=payload - 1, keep_layers=keep_layers)
+
+
+def test_a_build_peaks_within_its_estimate():
+    # The cap bounds every byte a build allocates, the temporaries of each
+    # shift-or-mask included, not only the ints the finished table keeps:
+    # a cap one byte below the traced peak refuses the build.
+    cases = [
+        (BoundedSequence.from_terms({v: height + 1 for v in values}, k), height)
+        for k in range(1, 9)
+        for height in (0, 1, 2, 7, 40, 300)
+        for values in ([k], [-k, 0], range(-k, k + 1))
+    ]
+    rng = random.Random(26)
+    for k in range(1, 9):
+        for n in (60, 400, 2000):
+            s = random_zero_sum_of_length(rng, k, n)
+            cases += [(s, height) for height in (1, n // 4, n // 2, n)]
+    tracemalloc.start()
+    try:
+        for s, height in cases:
+            for keep_layers in (True, False):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                build_table(s, height, keep_layers=keep_layers)
+                peak = tracemalloc.get_traced_memory()[1] - before
+                with pytest.raises(ResourceLimitError):
+                    build_table(s, height, memory_limit=peak - 1, keep_layers=keep_layers)
+    finally:
+        tracemalloc.stop()
+
+
+def test_zero_sum_lengths_needs_a_table_of_full_height():
+    # A short table answers the long lengths through the complement only,
+    # and zero_sum_lengths reads rows directly, so it refuses.
+    s = parse_sequence("1^3,-1^3")
+    table = build_table(s, 3)
+    assert table.reachable(4) and table.reachable(6)
+    with pytest.raises(PreconditionError):
+        table.zero_sum_lengths()
+    assert build_table(s, 6).zero_sum_lengths() == {0, 2, 4, 6}
 
 
 @pytest.mark.parametrize("values", [[1], [-1], [-2, 0, 3]])
@@ -322,8 +362,16 @@ def test_estimate_follows_the_window():
     # The pad is |-1| = 1 bit, so the stride is 162.
     assert (table.offset, table.width, table.stride) == (40, 161, 162)
     estimate = estimate_table_bytes(s, 40)
-    assert estimate == 3 * 41 * ((162 + 7) // 8 + detect._ROW_OVERHEAD)
-    assert estimate < 3 * 41 * ((241 + 3 + 7) // 8 + detect._ROW_OVERHEAD)
+    # Two values with layers: 2 + 4 ints of 41 rows, each the size CPython
+    # gives an int that wide, with 3 pointers of snapshot slots, plus the
+    # fixed allowance for the table object.
+    slots = 3 * (sys.getsizeof((None,)) - sys.getsizeof(()))
+
+    def six_ints(stride):
+        return 6 * (sys.getsizeof((1 << 41 * stride) - 1) + slots) + detect._TABLE_ALLOWANCE
+
+    assert estimate == six_ints(162)
+    assert estimate < six_ints(241 + 3)
     # build_table refuses by this same estimate.
     assert build_table(s, 40, memory_limit=estimate) == table
     with pytest.raises(ResourceLimitError):
@@ -581,7 +629,9 @@ def test_reachable_on_both_sides_matches_the_oracle():
                     assert (w is not None) == expected
                     if w is not None:
                         assert is_subsequence(w, s) and (w.length, w.sigma) == (length, total)
-        assert {t for t in range(n + 1) if not is_t_avoiding(s, t)} == brute_force_spectrum(s)
+        assert {t for t in range(n + 1) if not is_t_avoiding(s, t)} == {
+            length for length, total in pairs if total == 0
+        }
 
 
 def test_one_shot_tables_stay_on_the_short_side(monkeypatch):

@@ -14,7 +14,7 @@ from zsseq import (
     CrossCheckError,
     PreconditionError,
     BoundedSequence,
-    brute_force_spectrum,
+    brute_force_pairs,
     enumerate_extremal,
     family_generator,
     is_t_avoiding,
@@ -50,7 +50,7 @@ def brute_force_avoiders(k, t, n):
     for elements in combinations_with_replacement(range(-k, k + 1), n):
         if sum(elements) == 0:
             s = BoundedSequence.from_elements(elements, k)
-            if t not in brute_force_spectrum(s):
+            if (t, 0) not in brute_force_pairs(s):
                 found.add(s)
     return found
 
