@@ -502,6 +502,33 @@ def _extra_copies(
             yield (e, *tail)
 
 
+def _fill(
+    ahead: list[tuple[int, int, int]], packed: int, zero_at_height: int, need: int
+) -> tuple[int, int]:
+    """(sum, need left) of ``need`` elements taken in ``ahead``'s order, each up to its supply.
+
+    ``ahead`` holds (value, comb, step) for the values still to come; a
+    value's supply is c - 1 for its highest hit c * step bits below
+    ``zero_at_height``, and unbounded when its comb has no hit.
+    """
+    total = 0
+    for value, comb, step in ahead:
+        hits = packed & comb
+        supply = (zero_at_height - hits.bit_length() + 1) // step - 1 if hits else need
+        if supply >= need:
+            return total + need * value, 0
+        total += supply * value
+        need -= supply
+    return total, need
+
+
+def _nearest_free(order: list[int], profile: list[int], vcap: list[int], i: int, sign: int) -> int:
+    """The free value of the given sign nearest 0 among the positions before i; one must exist."""
+    return next(
+        order[j] for j in range(i - 1, -1, -1) if order[j] * sign > 0 and profile[j] == vcap[j]
+    )
+
+
 def _walk_zero_sum(
     k: int,
     length: int,
@@ -547,8 +574,31 @@ def _walk_zero_sum(
     values still to come cannot fill the remaining length and cancel the
     partial sum.  The values after a span [-a, a - 1], and those after -a
     span [1 - a, a - 1]; a free value widens that window on its own side,
-    and bounds every later value, whose |value| is smaller.  Each count
-    of 0 is solved at once:
+    and bounds every later value, whose |value| is smaller.
+
+    At h > 0 each node before 0's looks ahead.  Along a branch the rows
+    only gain bits, so once they hold (h - c, -c * u) for some 1 <= c <=
+    cap(u), c copies of a value u still to come would make a zero-sum of
+    length h: u takes at most c - 1 copies anywhere below, for the
+    smallest such c.  That state is bit zero_at_height - c * (stride + u),
+    on the diagonal :meth:`LengthSumTable.witness` reads, so one AND of
+    the rows with u's comb of those bits and a ``bit_length`` give u's
+    supply; with no hit up to the cap, u can still become free, and its
+    supply is unbounded.  (0 always hits at c = h.)  On a side with no
+    free value, the node fills ``left`` greedily from the lowest value
+    still to come up, and apart from that from the highest down, each
+    taking at most its supply: the least and the greatest sum those
+    elements can have.  When the later values run out, the rest can only
+    be more copies of the free values on the other side, and the least
+    (greatest) sum takes the one nearest 0; the farthest, ``free_hi``
+    (``free_lo``), would overstate the bound and could cut a leaf.  The
+    node is cut when the rest cannot be placed at all, or when -total lies
+    outside the two sums.  The bound ignores the sign cut and the leaf's
+    solve, so it only relaxes the walk and never cuts a leaf.  With a
+    free value on both sides it is the window, and is skipped.  The cut is
+    made at node entry, so a node it cuts is counted.
+
+    Each count of 0 is solved at once:
     with F and T the profile's length and sum counting each free value at
     its cap, every solution e >= 0 of sum(e_v) = length - F and
     sum(v * e_v) = -T over the free values is a leaf multiset.  With no
@@ -591,6 +641,16 @@ def _walk_zero_sum(
         vcap[last] = 0  # so 0 is free from the start, and one solve gives it the rest
     # The count fixed at each position of ``order``; 0 past the current node.
     profile = [0] * len(order)
+    # The look-ahead's (value, comb, step) of the positions >= i, by value up and down.  A
+    # comb holds the diagonal bits zero_at_height - c * step, c = 1 .. vcap, step = stride + v.
+    rising: list[list[tuple[int, int, int]]] = []
+    if height:
+        ahead = [
+            (v, sum(1 << zero_at_height - c * (stride + v) for c in range(1, m + 1)), stride + v)
+            for v, m in zip(order, vcap)
+        ]
+        rising = [sorted(ahead[i:]) for i in range(last)]
+    falling = [up[::-1] for up in rising]
 
     stop = max_nodes + 1 if max_nodes is not None else sys.maxsize
 
@@ -608,6 +668,23 @@ def _walk_zero_sum(
                 progress(nodes)
         value = order[i]
         leaf = i == last
+        if i < len(rising):  # the look-ahead, on each side with no free value
+            if not free_lo:  # the least sum: fill ``left`` from the lowest value up
+                least, need = _fill(rising[i], packed, zero_at_height, left)
+                if need:  # the later values ran out: the rest takes the free value nearest 0
+                    if not free_hi:
+                        return
+                    least += need * _nearest_free(order, profile, vcap, i, 1)
+                if total + least > 0:
+                    return
+            if not free_hi:  # the greatest sum: fill ``left`` from the highest value down
+                greatest, need = _fill(falling[i], packed, zero_at_height, left)
+                if need:
+                    if not free_lo:
+                        return
+                    greatest += need * _nearest_free(order, profile, vcap, i, -1)
+                if total + greatest < 0:
+                    return
         if leaf:  # 0's position: each of its counts is solved for the free values
             free = [v for v, c, m in zip(order, profile, vcap) if c == m]
         # The window of the later values, unless a free value bounds it.

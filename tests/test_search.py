@@ -128,13 +128,13 @@ def test_longest_avoiding_node_cap():
 
 def test_longest_avoiding_node_cap_spans_walks():
     full = longest_avoiding(2, 24, 34)
-    assert full.exhaustive and full.nodes_explored == 82
-    # the walks at 28, 27, 26 and 25 take 32, 20, 11 and 19 nodes, so
+    assert full.exhaustive and full.nodes_explored == 70
+    # the walks at 28, 27, 26 and 25 take 27, 15, 10 and 18 nodes, so
     # this cap stops the last of them
-    capped = longest_avoiding(2, 24, 34, max_nodes=70)
+    capped = longest_avoiding(2, 24, 34, max_nodes=60)
     assert capped.stop_reason == "node-limit"
     assert not capped.exhaustive
-    assert capped.nodes_explored == 70
+    assert capped.nodes_explored == 60
     assert longest_avoiding(2, 24, 34, max_nodes=full.nodes_explored) == full
 
 
@@ -146,7 +146,7 @@ def test_longest_avoiding_time_cap():
 
 
 def test_longest_avoiding_time_cap_spans_walks():
-    # The whole search is 82 nodes, fewer than the 1024 between two clock
+    # The whole search is 70 nodes, fewer than the 1024 between two clock
     # reads of the node count; the walk at 25 reads it at each leaf it builds.
     result = longest_avoiding(2, 24, 34, time_limit=0.0)
     assert result.stop_reason == "time-limit"
@@ -154,11 +154,11 @@ def test_longest_avoiding_time_cap_spans_walks():
 
 
 def test_walk_reads_the_clock_on_the_count_carried_across_walks():
-    # The walk at 28 is 32 nodes and has no leaf: counted on from 1,000 it
+    # The walk at 28 is 27 nodes and has no leaf: counted on from 1,000 it
     # reaches node 1,024, where the clock is read; counted on from 900 it
     # does not, and the past deadline goes unread.
     walk = zsseq.detect._walk_zero_sum
-    assert walk(2, 28, lambda s: None, 24, deadline=0.0, nodes=900) == 932
+    assert walk(2, 28, lambda s: None, 24, deadline=0.0, nodes=900) == 927
     with pytest.raises(zsseq.detect._WalkCapped) as capped:
         walk(2, 28, lambda s: None, 24, deadline=0.0, nodes=1000)
     assert (capped.value.reason, capped.value.nodes) == ("time-limit", 1023)
@@ -173,23 +173,23 @@ def test_the_node_cap_wins_over_the_clock_on_a_shared_node():
 
 
 def test_the_node_cap_stops_at_max_nodes_plus_one():
-    # The walk at 28 is 32 nodes; a count handed in past the cap stops at its first node.
+    # The walk at 28 is 27 nodes; a count handed in past the cap stops at its first node.
     walk = zsseq.detect._walk_zero_sum
-    assert walk(2, 28, lambda s: None, 24, max_nodes=32) == 32
-    for max_nodes, nodes, stopped in [(31, 0, 31), (10, 50, 50)]:
+    assert walk(2, 28, lambda s: None, 24, max_nodes=27) == 27
+    for max_nodes, nodes, stopped in [(26, 0, 26), (10, 50, 50)]:
         with pytest.raises(zsseq.detect._WalkCapped) as capped:
             walk(2, 28, lambda s: None, 24, max_nodes=max_nodes, nodes=nodes)
         assert (capped.value.reason, capped.value.nodes) == ("node-limit", stopped)
 
 
 def test_the_clock_is_read_every_1024_nodes_and_progress_every_65536():
-    # Counted on from 1,024, the 32-node walk at 28 reaches no multiple of 1,024.
+    # Counted on from 1,024, the 27-node walk at 28 reaches no multiple of 1,024.
     walk = zsseq.detect._walk_zero_sum
-    assert walk(2, 28, lambda s: None, 24, deadline=0.0, nodes=1024) == 1056
+    assert walk(2, 28, lambda s: None, 24, deadline=0.0, nodes=1024) == 1051
     calls = []
-    assert walk(2, 28, lambda s: None, 24, progress=calls.append, nodes=1000) == 1032
-    assert walk(2, 28, lambda s: None, 24, progress=calls.append, nodes=65526) == 65558
-    assert walk(2, 28, lambda s: None, 24, progress=calls.append, nodes=65536) == 65568
+    assert walk(2, 28, lambda s: None, 24, progress=calls.append, nodes=1000) == 1027
+    assert walk(2, 28, lambda s: None, 24, progress=calls.append, nodes=65526) == 65553
+    assert walk(2, 28, lambda s: None, 24, progress=calls.append, nodes=65536) == 65563
     assert calls == [65536]
     # A past deadline stops the walk at node 65,536 before progress is reported.
     with pytest.raises(zsseq.detect._WalkCapped) as capped:
@@ -254,10 +254,10 @@ def test_a_recheck_past_the_deadline_keeps_the_rechecked_prefix(monkeypatch):
 
 
 def test_k5_walks_stop_on_the_clock():
-    # Their first walks, n = 2530 and n = 2539 at t = 2520, have leaf solves
-    # over up to 2k - 2 free values; the clock stops each about 0.05 s in.
+    # Their first walks, n = 2549 (empty) and n = 2539 at t = 2520, each run
+    # past 0.5 s; the clock stops each about 0.05 s in.
     start = time.monotonic()
-    result = longest_avoiding(5, 2520, 2530, time_limit=0.05)
+    result = longest_avoiding(5, 2520, 2549, time_limit=0.05)
     assert time.monotonic() - start < 0.5 and result.stop_reason == "time-limit"
     start = time.monotonic()
     report = enumerate_extremal(5, 2520, time_limit=0.05)
@@ -321,8 +321,8 @@ def test_longest_avoiding_starts_at_the_top_of_the_window():
     # c = 14 and L = 3: the empty walks at 16, 15 and 14 rule out every
     # longer length, and the walk at 13 finds the 18 witnesses.
     walks = [zsseq.detect._walk_zero_sum(2, n, lambda s: None, 12) for n in (16, 15, 14, 13)]
-    assert sum(walks) == 82
-    assert longest_avoiding(2, 12, 22).nodes_explored == 82
+    assert sum(walks) == 70
+    assert longest_avoiding(2, 12, 22).nodes_explored == 70
 
 
 def test_longest_avoiding_rejects_an_avoider_at_the_constant(monkeypatch):
@@ -373,7 +373,7 @@ def test_walks_shorter_than_t_carry_the_empty_table():
     walk = zsseq.detect._walk_zero_sum
     grid = [(k, n) for k in (1, 2, 3) for n in range(9)]
     assert sum(walk(k, n, lambda s: None, n + 1) for k, n in grid) == 1078
-    assert sum(walk(k, n, lambda s: None, t) for k, n in grid for t in range(1, n + 2)) == 3144
+    assert sum(walk(k, n, lambda s: None, t) for k, n in grid for t in range(1, n + 2)) == 2984
     near, far = [], []
     assert walk(3, 8, near.append, 9) == walk(3, 8, far.append, 40)
     zero_sum = {
@@ -387,11 +387,11 @@ def test_walks_shorter_than_t_carry_the_empty_table():
 # (k, length, t, nodes, leaves) of profile walks where h = min(t, length - t)
 # is far below the multiplicities: the node count follows h, not t.
 PROFILE_WALKS = [
-    (2, 61, 60, 19, 330),
-    (3, 65, 60, 356, 10),
-    (3, 125, 120, 356, 20),
-    (3, 127, 120, 1_039, 0),
-    (3, 70, 60, 4_114, 0),
+    (2, 61, 60, 18, 330),
+    (3, 65, 60, 232, 10),
+    (3, 125, 120, 232, 20),
+    (3, 127, 120, 354, 0),
+    (3, 70, 60, 727, 0),
 ]
 
 
@@ -429,8 +429,26 @@ def test_every_walk_in_the_grid_keeps_its_nodes_and_leaves():
         digest.update(repr((k, t, n, nodes, sorted(s.terms for s in leaves))).encode())
     assert len(WALK_GRID) == 322
     assert digest.hexdigest() == (
-        "41d4f4e6a9002b15c2e7c9b0e9df594ef4975be096a6d16249c0b11b87cdb724"
+        "34f54c6716dfd1de6b39434368dc35dca458bf306e20cf533774e523dba47c65"
     )
+
+
+def test_every_small_grid_walk_leaves_the_avoiders_a_height_0_walk_finds():
+    # The reference takes every zero-sum multiset from a walk at height 0,
+    # where no row is carried and nothing looks ahead, and tests each one
+    # with the kernel; so it does not rest on the look-ahead's cuts.
+    small = [(k, t, n) for k, t, n in WALK_GRID if t < 10]
+    zero_sum = {}
+    count = 0
+    for k, t, n in small:
+        if (k, n) not in zero_sum:
+            zero_sum[k, n] = list(iter_zero_sum_sequences(k, n))
+        leaves = []
+        zsseq.detect._walk_zero_sum(k, n, leaves.append, t)
+        assert len(leaves) == len(set(leaves)), (k, t, n)
+        assert set(leaves) == {s for s in zero_sum[k, n] if is_t_avoiding(s, t)}, (k, t, n)
+        count += len(leaves)
+    assert len(small) == 317 and count == 3906
 
 
 def test_an_empty_table_walk_solves_each_leaf_in_one_step(monkeypatch):
@@ -489,8 +507,9 @@ def test_an_empty_leaf_solve_with_no_solution_by_parity_returns_at_once():
 
 
 def test_extremal_k3_t60_walks_one_sign_of_each_pair():
-    # 511 nodes when both signs of every pair of profiles are walked
-    assert enumerate_extremal(3, 60).nodes_explored == 356
+    # Before the look-ahead: 356 nodes, against 511 when both signs of
+    # every pair of profiles are walked.
+    assert enumerate_extremal(3, 60).nodes_explored == 232
 
 
 def test_longest_avoiding_is_deterministic():
@@ -535,7 +554,7 @@ def test_extremal_k3_t60_is_complete_and_keeps_the_support_pattern():
 
 
 def test_extremal_k4_t420_is_complete_and_keeps_the_support_pattern():
-    # The first k=4 case of the theorem: about 0.09 M nodes, under a second.
+    # The first k=4 case of the theorem: 6,380 nodes, a few hundredths of a second.
     report = enumerate_extremal(4, 420)
     assert report.exhaustive
     assert len(report.sequences) == 42
@@ -544,6 +563,29 @@ def test_extremal_k4_t420_is_complete_and_keeps_the_support_pattern():
     for s in report.sequences:
         assert s.length == 431 and s.sigma == 0
         assert verify_frobenius_avoidance(4, 420, s)
+
+
+def test_extremal_k5_t2520_is_complete_and_half_of_it_is_the_paper_construction():
+    # The first k=5 case of the theorem, t = lcm(2..9): 592,570 nodes.
+    report = enumerate_extremal(5, 2520)
+    assert report.exhaustive
+    assert len(report.sequences) == 168
+    assert report.support_ok
+    assert {negate(s) for s in report.sequences} == set(report.sequences)
+    for s in report.sequences:
+        assert s.length == 2539 and s.sigma == 0
+        assert verify_frobenius_avoidance(5, 2520, s)
+    # Independently of the walker: the zero-sum sequences of length 2539 on
+    # {-1, 4, 5}, a fours and b fives with 5a + 6b = 2539, that the closed
+    # form calls avoiding are exactly one sign of each pair.
+    construction = []
+    for b in range(2539 // 6 + 1):
+        a, r = divmod(2539 - 6 * b, 5)
+        s = BoundedSequence.from_terms({-1: 4 * a + 5 * b, 4: a, 5: b}, 5)
+        if not r and verify_frobenius_avoidance(5, 2520, s):
+            construction.append(s)
+    assert len(construction) == 84 == len(report.sequences) // 2
+    assert set(construction) <= set(report.sequences)
 
 
 def test_extremal_rechecks_every_sequence(monkeypatch):
@@ -565,8 +607,8 @@ def test_extremal_requires_finite_constant():
 
 
 def test_extremal_k3_cap_reports_not_exhaustive():
-    # the complete walk takes 356 nodes and has found all 10 sequences here
-    report = enumerate_extremal(3, 60, max_nodes=300)
+    # the complete walk takes 232 nodes and has found all 10 sequences here
+    report = enumerate_extremal(3, 60, max_nodes=200)
     assert not report.exhaustive
     for s in report.sequences:
         assert s.length == 60 + 9 - 3 - 1 and s.sigma == 0 and is_t_avoiding(s, 60)
