@@ -23,6 +23,13 @@ reproducible.  Most rewrites succeed at j = 1, so each s - {f} is first
 tabled at height min(|X| - 1, |s| - |X|) only; when no f qualifies there,
 each is tabled once more at the largest height any j >= 2 needs.  Witnesses
 do not depend on the table height, so neither does the rewrite.
+
+Rewrites come in runs of one step: 7,525 of the 12,683 rewrites of the
+benchmark's ``rewrite`` workload at seed 1 repeat the step before them.
+:func:`reduce_fixpoint` makes a step again, with no tables and no witness,
+when a supply lemma (stated in its docstring) proves that
+:func:`reduce_step` would choose it, 7,269 times there, and searches
+otherwise; the steps are those of calling :func:`reduce_step` every time.
 """
 
 from __future__ import annotations
@@ -70,8 +77,9 @@ class ReductionTrace:
 
     def to_json_dict(self) -> dict:
         # By hand, not by ``to_json``: the steps leave out ``result``, and by the
-        # rule 300 traces took 18.7 ms, not 3.8 ms (best of 40, 2-core x86-64 VM,
-        # Python 3.11), about 50 us added to a ~300 us ``reduce_fixpoint``.
+        # rule the first 300 traces of the benchmark's seed-0 ``rewrite`` workload
+        # took 9.4 ms, not 2.9 ms (best of 40, 2-core x86-64 VM, Python 3.11.7),
+        # about 22 us added to the 170-190 us their ``reduce_fixpoint`` takes.
         return {
             "initial": self.initial.to_json_dict(),
             "steps": [
@@ -149,7 +157,11 @@ def _without_one(s: BoundedSequence, f: int) -> BoundedSequence:
 
 def _rewrite(s: BoundedSequence, x: BlockX, j: int, f: int, rest: BoundedSequence) -> ReduceStep:
     """The step that removes T = rest + {f} from s and inserts j blocks."""
-    removed = BoundedSequence.from_terms([*rest.terms, (f, 1)], s.bound)
+    return _replace(s, x, j, BoundedSequence.from_terms([*rest.terms, (f, 1)], s.bound))
+
+
+def _replace(s: BoundedSequence, x: BlockX, j: int, removed: BoundedSequence) -> ReduceStep:
+    """The step that removes ``removed``, a subsequence of s, and inserts j blocks."""
     counts = dict(s.terms)
     for value, mult in removed.terms:
         counts[value] -= mult
@@ -167,20 +179,67 @@ def reduce_fixpoint(
 
     Each step removes at least one foreign element and inserts none, so the
     loop terminates after at most foreign_count(s, x) rewrites.
+
+    A step that removed T = rest + {f} from s with j blocks is made again on
+    s' = s - T + j X without a search when (a) T is a subsequence of s', and
+    (b) alpha and -beta each either did not rise or already had c copies
+    in s, where c = j|X| - 1, or for j >= 2 the larger height at which
+    :func:`reduce_step` tabled the later j.  Then reduce_step(s') returns
+    that same step, and its search would raise
+    :class:`~zsseq.errors.ResourceLimitError` only if the search on s had:
+
+    * |T| = j|X|, so |s'| = |s|, and max_j and both table heights are
+      unchanged.  By (b) s' holds no value s lacks, so its bound is s's.
+    * Capped at c copies per value, s' is pointwise at most s: foreign
+      values only fall, and (b) covers alpha and -beta.
+    * Every (j', f') that reduce_step tries up to (j, f) asks for j'|X| - 1
+      <= c elements of s' - {f'} summing to -f', so its answer depends on
+      the counts capped at c only; reachability is monotone in the
+      supply, so each pair that failed on s fails on s'.
+    * At (j, f), rest still fits in s' - {f}.  The witness takes, from the
+      largest value down, the smallest count whose remainder is reachable
+      (the mirrored read gives the same multiset).  A count too small on s
+      is too small on s', and rest's count stays feasible, so the witness
+      is rest again.
+    * A table of height h <= c has its window and pad set by the h
+      smallest and h largest elements of s' - {f'}, which are no further
+      from 0 than those of s - {f'}, and it holds no more values.  So no
+      table's estimate grows, and none is refused on s' that was built
+      on s.  For j >= 2 the later-j tables can be taller than j|X| - 1,
+      which is why c then rises to their height.
+
+    A step the lemma does not cover is searched by :func:`reduce_step`,
+    the one place a new step is chosen.
     """
     steps: list[ReduceStep] = []
     current = s
     limit = foreign_count(s, x)
-    while True:
-        step = reduce_step(current, x, memory_limit=memory_limit)
-        if step is None:
-            break
+    step = reduce_step(current, x, memory_limit=memory_limit)
+    while step is not None:
         steps.append(step)
         current = step.result
         if len(steps) > limit:  # pragma: no cover - progress measure violated
             raise CrossCheckError("rewrite loop exceeded its termination bound")
+        step = _repeat(step, x) or reduce_step(current, x, memory_limit=memory_limit)
     stripped, count = strip_blocks(current, x)
     return ReductionTrace(s, tuple(steps), current, stripped, count)
+
+
+def _repeat(step: ReduceStep, x: BlockX) -> ReduceStep | None:
+    """``step`` made again on its result, where :func:`reduce_fixpoint`'s lemma holds; else None."""
+    s, j, removed = step.result, step.inserted_copies, step.removed
+    n, size = s.length, x.length
+    cap = j * size - 1
+    if j > 1:  # reduce_step also tabled each s - {f} at the height the later j share
+        cap = max(cap, *(min(i * size - 1, n - i * size) for i in range(2, n // size + 1)))
+    counts = dict(s.terms)
+    for value, mult in x.block.terms:
+        rise = j * mult - removed.multiplicity(value)
+        if rise > 0 and counts[value] - rise < cap:
+            return None
+    if any(counts.get(value, 0) < mult for value, mult in removed.terms):
+        return None
+    return _replace(s, x, j, removed)
 
 
 def strip_blocks(s: BoundedSequence, x: BlockX) -> tuple[BoundedSequence, int]:

@@ -1,15 +1,18 @@
 """Block machinery: rewriting, stripping, padding."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zsseq import (
     PreconditionError,
+    ResourceLimitError,
     build_block,
     build_table,
     complete_block,
+    estimate_table_bytes,
     foreign_count,
     is_subsequence,
     is_t_avoiding,
@@ -19,6 +22,7 @@ from zsseq import (
     strip_blocks,
 )
 from zsseq import reduction
+from zsseq.detect import DEFAULT_MEMORY_LIMIT
 from zsseq.sequences import BoundedSequence, concat, remove, repeat
 
 
@@ -282,3 +286,152 @@ def test_complete_block_always_zero_sum(terms, alpha, beta):
     # only block values were added
     added = remove(completed, t)
     assert set(added.support) <= {alpha, -beta}
+
+
+def stepwise_steps(s, x, memory_limit=DEFAULT_MEMORY_LIMIT):
+    """The steps of a loop that calls reduce_step at every step."""
+    steps = []
+    step = reduce_step(s, x, memory_limit=memory_limit)
+    while step is not None:
+        steps.append(step)
+        step = reduce_step(step.result, x, memory_limit=memory_limit)
+    return steps
+
+
+def counting_reduce_step(monkeypatch):
+    """Record what each reduce_step call that reduce_fixpoint makes returns."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(reduce_step(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(reduction, "reduce_step", counting)
+    return calls
+
+
+def seeded_rewrites(seed, count):
+    """(s, x, kind) for fixpoints of every kind the repeat lemma must survive.
+
+    Kinds: random s; zero-sum s; s with 1-10 whole blocks appended; block
+    values plus one foreign value only j >= 2 can place; and
+    |X| <= n <= 2|X| - 2, where n - |X| < |X| - 1, so the j = 1 tables
+    answer through the complement.  k runs over 1..6.
+    """
+    rng = random.Random(seed)
+    kinds = ("random", "zero-sum", "blocks", "later-j", "mirrored")
+    for i in range(count):
+        kind = kinds[i % len(kinds)]
+        k = rng.randint(1, 6)
+        x = build_block(rng.randint(1, k), rng.randint(1, k))
+        if kind == "later-j":
+            piece = rng.randint(2, 3) * x.length - 1
+            a = rng.randint(0, piece)
+            f = (piece - a) * x.beta - a * x.alpha
+            spare = rng.randint(0, 3 * piece)
+            counts = {x.alpha: a + spare, -x.beta: piece - a + spare}
+            counts[f] = counts.get(f, 0) + rng.randint(1, 3)
+            yield BoundedSequence.from_terms(counts), x, kind
+            continue
+        n = rng.randint(x.length, 2 * x.length - 2) if kind == "mirrored" else rng.randint(0, 36)
+        elements = [rng.randint(-k, k) for _ in range(n)]
+        if kind == "zero-sum":
+            total = sum(elements)
+            while total:
+                elements.append(max(-k, min(k, -total)))
+                total += elements[-1]
+        s = BoundedSequence.from_elements(elements, bound=k)
+        if kind == "blocks":
+            s = concat(s, repeat(x.block, rng.randint(1, 10)))
+        yield s, x, kind
+
+
+def test_reduce_fixpoint_repeats_exactly_the_steps_reduce_step_takes(monkeypatch):
+    # Every step reduce_fixpoint makes, repeated or searched, is the one a
+    # loop calling reduce_step at every step makes: result, removed piece
+    # and copies.  The repeat must also fire, or the test proves nothing.
+    calls = counting_reduce_step(monkeypatch)
+    steps, repeated = Counter(), Counter()
+    for s, x, kind in seeded_rewrites(28, 5000):
+        expected = stepwise_steps(s, x)
+        calls.clear()
+        trace = reduce_fixpoint(s, x)
+        assert trace.steps == tuple(expected), (str(s), x.alpha, x.beta)
+        searched = {id(step) for step in calls}
+        for step in trace.steps:
+            keys = (kind, "j >= 2" if step.inserted_copies > 1 else "j = 1")
+            steps.update(keys)
+            if id(step) not in searched:
+                repeated.update(keys)
+    assert min(steps.values()) > 200, steps
+    # A mirrored input leaves fewer than |X| - 1 elements beside its piece,
+    # so a rising block value seldom had c copies: none of these repeat.
+    assert repeated.total() > steps.total() * 0.3
+    assert min(repeated[key] for key in steps if key != "mirrored") > 100, repeated
+
+
+def test_reduce_fixpoint_repeats_while_the_piece_fits(monkeypatch):
+    # -2, 2 is removed four times: the first by a search, the next three
+    # by the lemma (1 and -1 only rise, and c = |X| - 1 = 1 copy of each
+    # was already there).  Then no 2 is left for a fifth, so the lemma
+    # does not hold, though 1 and -1 have 4 copies, and the fixpoint is
+    # found by a search.
+    calls = counting_reduce_step(monkeypatch)
+    x = build_block(1, 1)
+    trace = reduce_fixpoint(parse_sequence("2^4,-2^4,1^1,-1^1"), x)
+    assert [str(step.removed) for step in trace.steps] == ["-2^1,2^1"] * 4
+    assert str(trace.fixpoint) == "-1^5,1^5"
+    assert calls == [trace.steps[0], None]  # the first step, then the fixpoint
+
+
+def test_repeat_falls_back_when_a_block_value_rises_from_below_the_cap():
+    # X = 2 . (-1)^2.  The first step removes 0^3 and brings in the first
+    # 2, which lets the foreign -2 take part: reduce_step's next piece is
+    # -2, 0, 2, not 0^3 again, though 0^3 still fits.
+    x = build_block(2, 1)
+    s = parse_sequence("-2^1,0^7")
+    first = reduce_step(s, x)
+    assert str(first.removed) == "0^3" and is_subsequence(first.removed, first.result)
+    assert reduction._repeat(first, x) is None
+    second = reduce_step(first.result, x)
+    assert str(second.removed) == "-2^1,0^1,2^1"
+    assert reduce_fixpoint(s, x).steps == tuple(stepwise_steps(s, x))
+
+
+def outcome(run):
+    try:
+        return "steps", tuple(run())
+    except ResourceLimitError as exc:
+        return "refused", str(exc)
+
+
+def test_reduce_fixpoint_refuses_exactly_where_the_stepwise_loop_does(monkeypatch):
+    # Sweep memory_limit across every table estimate the stepwise loop
+    # meets, one byte below each: reduce_fixpoint must raise the same
+    # ResourceLimitError, or return the same steps.  The first input ends
+    # with two j = 2 steps that remove the same piece.  Between them -3
+    # rises from 5 copies to 7, and the later-j tables have height 7
+    # (n = 15, |X| = 2), so their window widens: the lemma must count
+    # copies up to that height, and a cap between the two estimates must
+    # refuse the second search.
+    estimates = []
+    real = reduction.build_table
+
+    def recording(seq, max_length, *args, **kwargs):
+        estimates.append(estimate_table_bytes(seq, max_length))
+        return real(seq, max_length, *args, **kwargs)
+
+    inputs = [(parse_sequence("-3^4,-2^5,0^2,1^2,3^2"), build_block(3, 3))]
+    inputs += [(s, x) for s, x, kind in seeded_rewrites(5, 100) if kind in ("later-j", "blocks")]
+    refused = 0
+    for s, x in inputs:
+        estimates.clear()
+        monkeypatch.setattr(reduction, "build_table", recording)
+        stepwise_steps(s, x)
+        monkeypatch.setattr(reduction, "build_table", real)
+        for limit in sorted({e - 1 for e in estimates}):
+            expected = outcome(lambda: stepwise_steps(s, x, memory_limit=limit))
+            got = outcome(lambda: reduce_fixpoint(s, x, memory_limit=limit).steps)
+            assert got == expected, (str(s), x.alpha, x.beta, limit)
+            refused += expected[0] == "refused"
+    assert refused > 100
