@@ -22,14 +22,23 @@ then smallest f, then the kernel's deterministic witness, so rewrites are
 reproducible.  Most rewrites succeed at j = 1, so each s - {f} is first
 tabled at height min(|X| - 1, |s| - |X|) only; when no f qualifies there,
 each is tabled once more at the largest height any j >= 2 needs.  Witnesses
-do not depend on the table height, so neither does the rewrite.
+do not depend on the table height, so neither does the rewrite.  Growing
+each table to the height the next j needs, or doubling it, costs more: at
+the benchmark's ``rewrite`` seed 1 that builds 17,218 and 13,667 tables
+(12.35 M and 5.47 M cells) against 10,647 (4.90 M) for the one later
+height, since each final search, which finds no step, pays for every
+rebuild, and both ran 5-17% slower.
 
 Rewrites come in runs of one step: 7,525 of the 12,683 rewrites of the
 benchmark's ``rewrite`` workload at seed 1 repeat the step before them.
 :func:`reduce_fixpoint` makes a step again, with no tables and no witness,
 when a supply lemma (stated in its docstring) proves that
-:func:`reduce_step` would choose it, 7,269 times there, and searches
-otherwise; the steps are those of calling :func:`reduce_step` every time.
+:func:`reduce_step` would choose it, and searches otherwise; the steps are
+those of calling :func:`reduce_step` every time.  The lemma is checked
+once per searched step and gives the length of the whole run in closed
+form: at seed 1, 5,414 checks give 7,269 repeats in 2,373 runs of up to
+15 steps.  Each step's result is built by adding the step's change to
+its counts.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from math import gcd
 
 from .detect import DEFAULT_MEMORY_LIMIT, build_table
 from .errors import CrossCheckError, PreconditionError
-from .sequences import BoundedSequence, concat, remove, repeat
+from .sequences import BoundedSequence, concat
 
 
 @dataclass(frozen=True)
@@ -78,8 +87,8 @@ class ReductionTrace:
     def to_json_dict(self) -> dict:
         # By hand, not by ``to_json``: the steps leave out ``result``, and by the
         # rule the first 300 traces of the benchmark's seed-0 ``rewrite`` workload
-        # took 9.4 ms, not 2.9 ms (best of 40, 2-core x86-64 VM, Python 3.11.7),
-        # about 22 us added to the 170-190 us their ``reduce_fixpoint`` takes.
+        # took 10.0 ms, not 3.1 ms (best of 40, 2-core x86-64 VM, Python 3.11.7),
+        # about 22 us added to the 155-165 us their ``reduce_fixpoint`` takes.
         return {
             "initial": self.initial.to_json_dict(),
             "steps": [
@@ -133,10 +142,13 @@ def reduce_step(
     # which a table answers from its short side, min(j|X| - 1, n - j|X|).
     # Most steps succeed at j = 1, so tables start at that height; the
     # later j share one rebuild at the largest height any of them needs.
-    for js in (range(1, 2), range(2, max_j + 1)):
+    stages = (
+        (range(1, 2), min(block_len - 1, n - block_len)),
+        (range(2, max_j + 1), _later_height(n, block_len)),
+    )
+    for js, height in stages:
         if not js:
             break
-        height = max(min(j * block_len - 1, n - j * block_len) for j in js)
         tables = {}
         for j in js:
             for f in foreign_values:
@@ -148,6 +160,21 @@ def reduce_step(
     return None
 
 
+def _later_height(n: int, size: int) -> int | None:
+    """The largest min(j size - 1, n - j size) over 2 <= j <= n // size; None if no such j.
+
+    The first term rises with j and the second falls, so the largest is
+    where they cross, at j = floor((n + 1) / (2 size)) or the j above,
+    each clamped into range.
+    """
+    top = n // size
+    if top < 2:
+        return None
+    mid = (n + 1) // (2 * size)
+    js = (min(max(j, 2), top) for j in (mid, mid + 1))
+    return max(min(j * size - 1, n - j * size) for j in js)
+
+
 def _without_one(s: BoundedSequence, f: int) -> BoundedSequence:
     """s - {f}, for a value f that s contains."""
     return BoundedSequence(
@@ -157,17 +184,26 @@ def _without_one(s: BoundedSequence, f: int) -> BoundedSequence:
 
 def _rewrite(s: BoundedSequence, x: BlockX, j: int, f: int, rest: BoundedSequence) -> ReduceStep:
     """The step that removes T = rest + {f} from s and inserts j blocks."""
-    return _replace(s, x, j, BoundedSequence.from_terms([*rest.terms, (f, 1)], s.bound))
-
-
-def _replace(s: BoundedSequence, x: BlockX, j: int, removed: BoundedSequence) -> ReduceStep:
-    """The step that removes ``removed``, a subsequence of s, and inserts j blocks."""
+    piece = dict(rest.terms)
+    piece[f] = piece.get(f, 0) + 1
+    removed = _from_counts(s.bound, piece)
     counts = dict(s.terms)
-    for value, mult in removed.terms:
-        counts[value] -= mult
-    added = [(value, j * mult) for value, mult in x.block.terms]
-    result = BoundedSequence.from_terms([*counts.items(), *added], max(s.bound, x.block.bound))
-    return ReduceStep(result, removed, j)
+    for value, change in _delta(x, j, removed).items():
+        counts[value] = counts.get(value, 0) + change
+    return ReduceStep(_from_counts(max(s.bound, x.block.bound), counts), removed, j)
+
+
+def _delta(x: BlockX, j: int, removed: BoundedSequence) -> dict[int, int]:
+    """What a step adds to each value's count: j X - T, T the removed piece."""
+    delta = {value: -mult for value, mult in removed.terms}
+    for value, mult in x.block.terms:
+        delta[value] = delta.get(value, 0) + j * mult
+    return delta
+
+
+def _from_counts(bound: int, counts: dict[int, int]) -> BoundedSequence:
+    """The sequence with these counts, zeros dropped; a negative count raises."""
+    return BoundedSequence(bound, tuple(sorted([(v, m) for v, m in counts.items() if m])))
 
 
 def reduce_fixpoint(
@@ -208,46 +244,64 @@ def reduce_fixpoint(
       on s.  For j >= 2 the later-j tables can be taller than j|X| - 1,
       which is why c then rises to their height.
 
-    A step the lemma does not cover is searched by :func:`reduce_step`,
-    the one place a new step is chosen.
+    The lemma covers a whole run of the step at once.  Along the run n, j
+    and |X|, so c, stay fixed, and a rising alpha or -beta only rises, so
+    (b) holds at every repeat once it holds at the first and is checked
+    once.  Each repeat adds D = j X - T to the counts, and (a) holds at
+    the i-th repeat exactly when s'_v + (i - 1) D_v >= T_v for each value
+    v with D_v < 0, so the run has r = min over those v of
+    floor((s'_v - T_v) / -D_v) + 1 repeats, or none when T does not fit
+    in s'.  At the benchmark's ``rewrite`` seed 1, 5,414 such checks, one
+    per searched step, make 7,269 of the 12,683 steps.  A step the lemma
+    does not cover is searched by :func:`reduce_step`, the one place a new
+    step is chosen.
     """
     steps: list[ReduceStep] = []
-    current = s
     limit = foreign_count(s, x)
-    step = reduce_step(current, x, memory_limit=memory_limit)
+    step = reduce_step(s, x, memory_limit=memory_limit)
     while step is not None:
         steps.append(step)
-        current = step.result
+        steps += _run(step, x)
         if len(steps) > limit:  # pragma: no cover - progress measure violated
             raise CrossCheckError("rewrite loop exceeded its termination bound")
-        step = _repeat(step, x) or reduce_step(current, x, memory_limit=memory_limit)
+        step = reduce_step(steps[-1].result, x, memory_limit=memory_limit)
+    current = steps[-1].result if steps else s
     stripped, count = strip_blocks(current, x)
     return ReductionTrace(s, tuple(steps), current, stripped, count)
 
 
-def _repeat(step: ReduceStep, x: BlockX) -> ReduceStep | None:
-    """``step`` made again on its result, where :func:`reduce_fixpoint`'s lemma holds; else None."""
+def _run(step: ReduceStep, x: BlockX) -> list[ReduceStep]:
+    """``step`` made again on its result as often as :func:`reduce_fixpoint`'s lemma allows."""
     s, j, removed = step.result, step.inserted_copies, step.removed
-    n, size = s.length, x.length
-    cap = j * size - 1
+    cap = j * x.length - 1
     if j > 1:  # reduce_step also tabled each s - {f} at the height the later j share
-        cap = max(cap, *(min(i * size - 1, n - i * size) for i in range(2, n // size + 1)))
+        cap = max(cap, _later_height(s.length, x.length))
     counts = dict(s.terms)
-    for value, mult in x.block.terms:
-        rise = j * mult - removed.multiplicity(value)
-        if rise > 0 and counts[value] - rise < cap:
-            return None
-    if any(counts.get(value, 0) < mult for value, mult in removed.terms):
-        return None
-    return _replace(s, x, j, removed)
+    delta = _delta(x, j, removed)
+    # Only alpha and -beta can rise, and each must have had cap copies before.
+    if any(change > 0 and counts[value] - change < cap for value, change in delta.items()):
+        return []
+    need = dict(removed.terms)
+    repeats = 1 + min(
+        (counts.get(value, 0) - need[value]) // -change
+        for value, change in delta.items()
+        if change < 0
+    )
+    run = []
+    for _ in range(repeats):
+        for value, change in delta.items():
+            counts[value] += change
+        run.append(ReduceStep(_from_counts(s.bound, counts), removed, j))
+    return run
 
 
 def strip_blocks(s: BoundedSequence, x: BlockX) -> tuple[BoundedSequence, int]:
     """Remove as many whole copies of the block as multiplicities allow."""
-    per_alpha = x.beta // x.g
-    per_beta = x.alpha // x.g
-    count = min(s.multiplicity(x.alpha) // per_alpha, s.multiplicity(-x.beta) // per_beta)
-    return remove(s, repeat(x.block, count)), count
+    counts = dict(s.terms)
+    count = min(counts.get(value, 0) // mult for value, mult in x.block.terms)
+    for value, mult in x.block.terms:
+        counts[value] = counts.get(value, 0) - count * mult
+    return _from_counts(s.bound, counts), count
 
 
 def complete_block(t: BoundedSequence, x: BlockX) -> BoundedSequence:

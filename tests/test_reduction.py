@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from zsseq import (
     PreconditionError,
     ResourceLimitError,
+    SequenceBoundError,
     build_block,
     build_table,
     complete_block,
@@ -384,6 +385,31 @@ def test_reduce_fixpoint_repeats_while_the_piece_fits(monkeypatch):
     assert calls == [trace.steps[0], None]  # the first step, then the fixpoint
 
 
+@pytest.mark.parametrize(
+    "text,alpha,beta,copies,repeats",
+    [
+        # j = 1: -2, 2 is removed, 1 and -1 rise from c = 1 copy each, and
+        # the piece fits eleven more times.
+        ("2^12,-2^12,1^1,-1^1", 1, 1, 1, 11),
+        # j = 2: 3, -1^3 is removed (no j = 1 piece holds 3), 1 rises by 2
+        # from 50 copies, at least the 49 rows of the later-j tables
+        # (n = 100, |X| = 2), and 3 runs out after nine more.
+        ("3^10,-1^40,1^50", 1, 1, 2, 9),
+    ],
+)
+def test_reduce_fixpoint_makes_a_whole_run_after_one_search(monkeypatch, text, alpha, beta, copies, repeats):
+    calls = counting_reduce_step(monkeypatch)
+    s, x = parse_sequence(text), build_block(alpha, beta)
+    trace = reduce_fixpoint(s, x)
+    assert len(trace.steps) == 1 + repeats
+    assert {(step.removed, step.inserted_copies) for step in trace.steps} == {
+        (trace.steps[0].removed, copies)
+    }
+    assert calls == [trace.steps[0], None]  # one search, the run, the final search
+    monkeypatch.undo()
+    assert trace.steps == tuple(stepwise_steps(s, x))
+
+
 def test_repeat_falls_back_when_a_block_value_rises_from_below_the_cap():
     # X = 2 . (-1)^2.  The first step removes 0^3 and brings in the first
     # 2, which lets the foreign -2 take part: reduce_step's next piece is
@@ -392,10 +418,24 @@ def test_repeat_falls_back_when_a_block_value_rises_from_below_the_cap():
     s = parse_sequence("-2^1,0^7")
     first = reduce_step(s, x)
     assert str(first.removed) == "0^3" and is_subsequence(first.removed, first.result)
-    assert reduction._repeat(first, x) is None
+    assert reduction._run(first, x) == []
     second = reduce_step(first.result, x)
     assert str(second.removed) == "-2^1,0^1,2^1"
     assert reduce_fixpoint(s, x).steps == tuple(stepwise_steps(s, x))
+
+
+def test_later_height_is_the_closed_form_of_the_largest_later_j_height():
+    # reduce_step's later-j tables and the run's cap read this height.
+    for size in range(1, 41):
+        for n in range(1001):
+            heights = [min(j * size - 1, n - j * size) for j in range(2, n // size + 1)]
+            assert reduction._later_height(n, size) == (max(heights) if heights else None), (n, size)
+
+
+def test_step_results_drop_zero_counts_and_refuse_negative_ones():
+    assert reduction._from_counts(3, {2: 1, -3: 2, 0: 0}) == parse_sequence("-3^2,2^1", bound=3)
+    with pytest.raises(SequenceBoundError):
+        reduction._from_counts(3, {1: -1})
 
 
 def outcome(run):
