@@ -57,9 +57,10 @@ live at its peak (the snapshots, the running int, the mask and one
 shift-or-mask's temporaries), each sized by CPython's int layout; if it
 would exceed the configured cap the build is refused with
 :class:`~zsseq.errors.ResourceLimitError` rather than degrading.  The cap
-bounds the build only: the ``rows`` and ``layers`` views, decoded later on
-first use (``rows`` by :meth:`LengthSumTable.achievable_pairs`), are
-outside it.
+bounds the build only.  :meth:`LengthSumTable.achievable_pairs` reads
+``packed`` once, holding a few bytes per table cell while it runs, and the
+``rows`` and ``layers`` views (read by the tests and the benchmark's
+tracer) are decoded on first use: all three are outside the cap.
 
 For cross-checking, :func:`brute_force_pairs` builds the (length, sum)
 pairs as plain sets of tuples, one value at a time and every copy count at
@@ -78,6 +79,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import compress, product
 from math import gcd
 from typing import Iterator
 
@@ -97,6 +99,8 @@ _DIGIT_BITS, _DIGIT_BYTES = sys.int_info[:2]
 _INT_FIXED = sys.getsizeof(1) - _DIGIT_BYTES + 3 * (sys.getsizeof((None,)) - sys.getsizeof(()))
 # The table object, the headers of its snapshot list and tuple, and the small ints of a build.
 _TABLE_ALLOWANCE = 2048
+# The digits of bin() as 0/1 bytes, for itertools.compress.
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -130,8 +134,10 @@ class LengthSumTable:
     lengths down to n - ``max_length`` are answered through the
     complement, using sigma(source).  ``snapshots`` holds the packed int
     after each distinct value (needed for witness recovery); it is empty
-    when the table was built with ``keep_layers=False``.  ``rows`` decodes
-    ``packed`` one row per int, on first use.
+    when the table was built with ``keep_layers=False``.
+    ``achievable_pairs`` reads ``packed`` once; ``rows``, which the tests
+    and the benchmark's tracer read, decodes it one row per int, on first
+    use.
     """
 
     source: BoundedSequence
@@ -178,13 +184,18 @@ class LengthSumTable:
         return bool(self.packed >> length * self.stride + pos & 1)
 
     def achievable_pairs(self) -> Iterator[tuple[int, int]]:
-        """All reachable (length, sum) pairs with length <= max_length, in (length, sum) order."""
-        offset = self.offset
-        for j, row in enumerate(self.rows):
-            while row:
-                low = row & -row
-                yield (j, low.bit_length() - 1 - offset)
-                row ^= low
+        """All reachable (length, sum) pairs with length <= max_length, in (length, sum) order.
+
+        ``packed`` is read once, with row ``max_length``'s pad masked off,
+        as one 0/1 byte per bit from the lowest up; each set byte selects
+        the (length, sum) of its bit.  The pad cells of lower rows are
+        walked but never selected, since only row ``max_length`` gets a
+        pad bit.
+        """
+        c, offset, stride = self.max_length, self.offset, self.stride
+        window = self.packed & (1 << c * stride + self.width) - 1
+        bits = bin(window)[:1:-1].encode().translate(_BIT_BYTES)
+        return compress(product(range(c + 1), range(-offset, stride - offset)), bits)
 
     def zero_sum_lengths(self) -> frozenset[int]:
         """Every length of a zero-sum subsequence; the table must hold every length directly."""
@@ -338,8 +349,9 @@ def estimate_table_bytes(s: BoundedSequence, max_length: int) -> int:
     """Estimated peak bytes of ``build_table(s, max_length)``, the bound its memory cap checks.
 
     It counts the ints the build holds, its snapshots and the temporaries
-    of one shift-or-mask, not the ``rows`` view that
-    :meth:`LengthSumTable.achievable_pairs` decodes later, outside the cap.
+    of one shift-or-mask, not what is read off the table later: the few
+    bytes per cell that :meth:`LengthSumTable.achievable_pairs` holds while
+    it runs (each pair it yields costs more), or the ``rows`` view.
     """
     return _table_bytes(_layout(s, max_length)[2], max_length, len(s.terms), True)
 

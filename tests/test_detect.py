@@ -186,6 +186,64 @@ def test_large_multiplicities_use_binary_decomposition():
     assert spectrum(s).as_sorted_list() == list(range(0, 201, 2))
 
 
+def row_by_row_pairs(table):
+    """``table.achievable_pairs`` by decoding ``rows``, then one lowest-bit step per pair."""
+    pairs = []
+    for j, row in enumerate(table.rows):
+        while row:
+            low = row & -row
+            pairs.append((j, low.bit_length() - 1 - table.offset))
+            row ^= low
+    return pairs
+
+
+def assert_pairs_decode_as_the_rows_do(table):
+    # achievable_pairs walks the pad cells of rows below max_length, so it
+    # is exact only while no lower row holds a pad bit.
+    pad = (1 << table.stride) - (1 << table.width)
+    lower_pads = sum(pad << j * table.stride for j in range(table.max_length))
+    assert table.packed & lower_pads == 0, table
+    assert list(table.achievable_pairs()) == row_by_row_pairs(table), table
+
+
+def test_achievable_pairs_decode_as_the_rows_do():
+    # Every multiset over [-3, 3] of size <= 6, at every height.
+    for size in range(7):
+        for elements in itertools.combinations_with_replacement(range(-3, 4), size):
+            s = BoundedSequence.from_elements(elements, 3)
+            for c in range(size + 1):
+                assert_pairs_decode_as_the_rows_do(build_table(s, c, keep_layers=False))
+    # Seeded random tables, with layers (each layer decoded too) and without.
+    rng = random.Random(20261021)
+    for trial in range(160):
+        k = 1 + trial % 8
+        s = random_sequence(rng, k, rng.randint(0, 40), zero_sum=trial % 3 == 0)
+        for c in sorted({0, s.length // 2, s.length}):
+            table = build_table(s, c, keep_layers=trial % 2 == 0)
+            for each in (table, *table.layers):
+                assert_pairs_decode_as_the_rows_do(each)
+    # A smallest value >= 0 leaves the pad empty.
+    for text in ("0^3", "1^4", "0^2,2^3,3^1", "1^5,4^2,5^1"):
+        s = parse_sequence(text)
+        for c in range(s.length + 1):
+            table = build_table(s, c)
+            assert table.stride == table.width and table.offset == 0
+            assert_pairs_decode_as_the_rows_do(table)
+
+
+def test_achievable_pairs_skip_the_top_row_pad():
+    # (2, -3) is pushed past row 1 and borrows into row 1's pad, bit 9.
+    table = build_table(parse_sequence("-2^1,-1^1"), 1)
+    assert (table.stride, table.width, table.offset) == (5, 3, 2)
+    assert table.packed == 0b1001100100
+    assert list(table.achievable_pairs()) == [(0, 0), (1, -2), (1, -1)]
+
+
+@pytest.mark.parametrize("text", ["", "0^2", "3^1,-2^4"])
+def test_a_table_of_height_0_has_only_the_empty_pair(text):
+    assert list(build_table(parse_sequence(text), 0).achievable_pairs()) == [(0, 0)]
+
+
 @given(small_term_dicts, st.integers(min_value=0, max_value=12))
 @settings(max_examples=150)
 def test_avoidance_matches_oracle(terms, t):
