@@ -10,16 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from math import gcd, lcm
 
-from .detect import iter_zero_sum_sequences, spectrum
+from .detect import _walk_zero_sum
 from .errors import CrossCheckError, PreconditionError
 from .sequences import to_json
-
-#: Feasibility cap for the exhaustive minimal-sequence search.
-MINIMAL_SEARCH_MAX_K = 4
-
 
 @dataclass(frozen=True)
 class ConstantValue:
@@ -162,34 +158,28 @@ def lemma41_margin_check(t: int = 420, n: int = 29) -> bool:
     return Fraction(t, 18) >= need and Fraction(t, 10) >= need
 
 
-@cache
 def minimal_zero_sum_max_length(k: int) -> int:
-    """Maximum length of a minimal zero-sum sequence over [-k, k].
+    """Maximum length L of a minimal zero-sum sequence over [-k, k], by exhaustive walks.
 
-    :func:`~zsseq.search.longest_avoiding` relies on it: this length L is
-    the width of the window of empty lengths that certifies every longer
-    length empty, so a value that is too small would make the search skip
-    lengths it has not proven empty.  Cached, because the search asks
-    for it whenever its ceiling lies above the constant.
-
-    Minimal means nonempty, zero-sum, with no proper nonempty zero-sum
-    subsequence; equivalently the spectrum is exactly {0, |s|}.  Found by
-    exhaustive enumeration: any minimal zero-sum sequence other than {0}
-    is zero-free, and ordering one so that each partial sum is opposed by
-    the next element keeps all proper prefix sums nonzero in [-k, k], so by
-    pigeonhole a minimal sequence has length at most 2k.  Searching lengths
-    up to 2k + 1 is therefore exhaustive with one length of margin.  The
-    enumeration includes 0, and the spectrum test rejects those sequences:
-    from length 2 on, {0} is a proper zero-sum piece of them.
+    Minimal means nonempty and zero-sum with no proper nonempty zero-sum
+    subsequence.  {0} is the only one of length 1; for n = 2 .. 2k + 1 the
+    walker at t = n // 2, avoiding every shorter length, emits exactly those
+    of length n.  That range holds them all with one length of margin: one
+    other than {0} is zero-free, and ordered so that each element opposes
+    the partial sum before it, its proper prefix sums are nonzero in
+    [-k, k], so by pigeonhole it has length <= 2k.  L = max(2, 2k - 1) by
+    the bound for primitive partition identities (Lambert 1987; Diaconis,
+    Graham and Sturmfels 1993), the window of
+    :func:`~zsseq.search.longest_avoiding`; a walk that disagrees raises
+    :class:`CrossCheckError`.  The walks grow about threefold per k.
     """
     _check_positive("k", k)
-    if k > MINIMAL_SEARCH_MAX_K:
-        raise PreconditionError(
-            f"exhaustive minimal-sequence search is capped at k <= {MINIMAL_SEARCH_MAX_K}"
+    lengths = {1}  # the singleton {0}
+    for n in range(2, 2 * k + 2):
+        _walk_zero_sum(k, n, lambda s: lengths.add(s.length), t=n // 2, avoid_shorter=True)
+    if max(lengths) != max(2, 2 * k - 1):
+        raise CrossCheckError(
+            f"minimal zero-sum sequences over [-{k}, {k}] reach length {max(lengths)}, "
+            "not max(2, 2k - 1)"
         )
-    best = 1  # the singleton {0}
-    for length in range(2, 2 * k + 2):
-        for s in iter_zero_sum_sequences(k, length):
-            if spectrum(s).lengths == frozenset((0, length)):
-                best = max(best, length)
-    return best
+    return max(lengths)

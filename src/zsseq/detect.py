@@ -550,6 +550,7 @@ def _walk_zero_sum(
     deadline: float | None = None,
     progress=None,
     nodes: int = 0,
+    avoid_shorter: bool = False,
 ) -> int:
     """Depth-first walk over the zero-sum multisets over [-k, k] of exactly ``length`` elements.
 
@@ -625,6 +626,14 @@ def _walk_zero_sum(
     negation's, so each leaf s is passed to ``on_leaf`` and then its mirror
     -s, or s alone when the profile is tied throughout.
 
+    With ``avoid_shorter`` a branch is cut once it contains a zero-sum of
+    any length 1 .. h, and the leaves avoid all of them.  A zero-sum of
+    length j <= h holds at most k * j // (k + |v|) <= m_v copies of v, so
+    the caps still decide; the supplies, the window and the sign cut rest
+    on length h alone, so they only relax the walk.  At t = length // 2 a
+    zero-sum piece longer than h leaves one no longer than h, so the
+    leaves are the minimal zero-sum multisets of that length.
+
     Nodes are counted on from ``nodes``, so a search made of several
     walks keeps one count for ``max_nodes``, the ``time.monotonic()``
     ``deadline`` and ``progress(nodes)``.  One block reads them, at each
@@ -646,6 +655,9 @@ def _walk_zero_sum(
     offset, _, stride = _layout(BoundedSequence(k, ((-k, length + 1), (k, length + 1))), height)
     mask = (1 << (height + 1) * stride) - 1
     zero_at_height = height * stride + offset
+    # The zero-sum bits of the rows to keep clear, low .. h, as read from row low up.
+    low = 1 if avoid_shorter else height
+    zero_low, zeros = low * stride + offset, sum(1 << j * stride for j in range(height - low + 1))
     # A count of ``vcap[i]`` makes the value at i free; with no rows, no non-zero count reaches it.
     vcap = [max(k * height // (k + abs(v)), 1) if height else length + 1 for v in order]
     if length < t:
@@ -713,7 +725,7 @@ def _walk_zero_sum(
         for copies in range(most + 1):
             if copies:
                 packed |= packed << step & mask  # one copy: the shift-or-mask of _add_up_to
-                if packed >> zero_at_height & 1:
+                if packed >> zero_low & zeros:
                     break  # now containing; more copies stay containing
                 profile[i] = copies
                 if copies == cap:  # now free

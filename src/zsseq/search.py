@@ -20,12 +20,7 @@ import time
 from dataclasses import dataclass
 from math import gcd, inf
 
-from .constants import (
-    MINIMAL_SEARCH_MAX_K,
-    divisibility_condition,
-    minimal_zero_sum_max_length,
-    s_prime_t,
-)
+from .constants import divisibility_condition, s_prime_t
 from .detect import _walk_zero_sum, _WalkCapped, is_t_avoiding
 from .errors import CrossCheckError, PreconditionError
 from .reduction import BlockX, build_block
@@ -100,17 +95,19 @@ def longest_avoiding(
     is below the ceiling.
 
     top is the ceiling, or c + L - 1 if lower, with c the constant
-    (:func:`~zsseq.constants.s_prime_t`) when it is finite and L the
-    longest minimal zero-sum length over [-k, k]
-    (:func:`~zsseq.constants.minimal_zero_sum_max_length`, or its proven
-    bound 2k past the exhaustive range).  Longer lengths need no walk, by
-    the window lemma: if no zero-sum t-avoider has a length in
-    [m, m + L - 1], none has a length >= m.  A zero-sum S of length
-    n >= m + L contains a minimal zero-sum M with |M| <= L, and S - M is
-    zero-sum of length in [m, n - 1], so by induction it contains a
-    zero-sum of length t, and so does S.  The walks c + L - 1, ..., c come
-    first, so the answer rests on them, not on the theorem: an avoider of
-    length >= c raises :class:`CrossCheckError`.
+    (:func:`~zsseq.constants.s_prime_t`) when it is finite and L =
+    max(2, 2k - 1) the longest minimal zero-sum length over [-k, k], by
+    the bound for primitive partition identities (Lambert 1987; Diaconis,
+    Graham and Sturmfels 1993); the walks that check it (in
+    :func:`~zsseq.constants.minimal_zero_sum_max_length`) would escape
+    the caps.  Longer lengths need no walk, by the window lemma: if no
+    zero-sum t-avoider has a length in [m, m + L - 1], none has a length
+    >= m.  A zero-sum S of length n >= m + L contains a minimal zero-sum M
+    with |M| <= L, and S - M is zero-sum of length in [m, n - 1], so by
+    induction it contains a zero-sum of length t, and so does S.  The
+    walks c + L - 1, ..., c come first, so the answer rests on them, not
+    on the constant's theorem: an avoider of length >= c raises
+    :class:`CrossCheckError`.
     """
     if k < 1:
         raise PreconditionError(f"k must be >= 1, got {k}")
@@ -146,8 +143,7 @@ def longest_avoiding(
     top = ceiling
     constant = s_prime_t(k, t).value
     if constant is not None and ceiling > constant:
-        window = minimal_zero_sum_max_length(k) if k <= MINIMAL_SEARCH_MAX_K else 2 * k
-        top = min(ceiling, constant + window - 1)
+        top = min(ceiling, constant + max(2, 2 * k - 1) - 1)
 
     deadline = None if time_limit is None else time.monotonic() + time_limit
     stop_reason = None

@@ -352,6 +352,10 @@ def test_lcm_check(run):
 def test_lambert_value(run):
     code, doc, _ = run_json(run, "lambert", "--k", "3")
     assert code == 0 and doc["payload"] == {"k": 3, "value": 5}
+    assert run("lambert", "--k", "5") == (0, "value: 9\n", "")
+    code, out, err = run("lambert", "--k", "401")
+    assert code == 1 and out == ""
+    assert err == "error: k must be <= 400 for an exhaustive walk, got 401\n"
 
 
 def test_divides_json(run):

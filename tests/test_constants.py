@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zsseq import (
+    CrossCheckError,
     PreconditionError,
     davenport_subset,
     divisibility_condition,
@@ -230,12 +231,26 @@ def test_margin_check_default_is_tight():
     assert lemma41_margin_check(n=30) is False
 
 
-@pytest.mark.parametrize("k,expected", [(1, 2), (2, 3), (3, 5), (4, 7)])
+@pytest.mark.parametrize(
+    "k,expected", [(1, 2), (2, 3), (3, 5), (4, 7), (5, 9), (6, 11), (7, 13), (8, 15)]
+)
 def test_minimal_zero_sum_max_length(k, expected):
     assert minimal_zero_sum_max_length(k) == expected
     assert expected == max(2, 2 * k - 1)
 
 
-def test_minimal_search_is_capped():
+def test_minimal_zero_sum_max_length_raises_when_the_walks_disagree(monkeypatch):
+    # A walk whose leaves stop one short of 2k - 1 contradicts the theorem.
+    real = constants._walk_zero_sum
+
+    def short(k, n, on_leaf, **kwargs):
+        return real(k, n, on_leaf, **kwargs) if n < 2 * k - 1 else 0
+
+    monkeypatch.setattr(constants, "_walk_zero_sum", short)
+    with pytest.raises(CrossCheckError, match="not max"):
+        minimal_zero_sum_max_length(3)
+
+
+def test_minimal_zero_sum_max_length_refuses_k_below_1():
     with pytest.raises(PreconditionError):
-        minimal_zero_sum_max_length(5)
+        minimal_zero_sum_max_length(0)

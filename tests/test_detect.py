@@ -466,6 +466,23 @@ def test_iter_zero_sum_sequences_matches_filtered_enumeration():
             iter_zero_sum_sequences(k, length)
 
 
+def test_the_every_length_walk_emits_the_minimal_zero_sum_multisets():
+    # At t = n // 2 with every length 1 .. h avoided, the leaves are the
+    # zero-sum multisets whose spectrum is {0, n}: the minimal ones.
+    total = 0
+    for k in range(1, 5):
+        for n in range(2, 2 * k + 2):
+            leaves = []
+            detect._walk_zero_sum(k, n, leaves.append, t=n // 2, avoid_shorter=True)
+            expected = {
+                s for s in iter_zero_sum_sequences(k, n) if spectrum(s).lengths == {0, n}
+            }
+            assert len(leaves) == len(set(leaves))
+            assert set(leaves) == expected
+            total += len(leaves)
+    assert total == 52
+
+
 def random_sequence(rng, k, n, zero_sum):
     elements = [rng.randint(-k, k) for _ in range(n)]
     if zero_sum:

@@ -29,7 +29,7 @@ TOUR = tour()
 
 
 def test_the_tour_is_found():
-    assert len(TOUR) == 14
+    assert len(TOUR) == 15
     assert len(fenced("python")) == 1
 
 

@@ -254,7 +254,7 @@ def test_a_recheck_past_the_deadline_keeps_the_rechecked_prefix(monkeypatch):
 
 
 def test_k5_walks_stop_on_the_clock():
-    # Their first walks, n = 2549 (empty) and n = 2539 at t = 2520, each run
+    # Their first walks, n = 2548 (empty) and n = 2539 at t = 2520, each run
     # past 0.5 s; the clock stops each about 0.05 s in.
     start = time.monotonic()
     result = longest_avoiding(5, 2520, 2549, time_limit=0.05)
