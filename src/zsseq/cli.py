@@ -106,8 +106,8 @@ def _positive_float(text: str) -> float:
 def _load_sequence(args: argparse.Namespace) -> BoundedSequence:
     if args.seq_file is not None:
         try:
-            text = Path(args.seq_file).read_text()
-        except OSError as exc:
+            text = Path(args.seq_file).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise PreconditionError(f"cannot read sequence file: {exc}")
     else:
         text = args.seq

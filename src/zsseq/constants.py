@@ -162,24 +162,24 @@ def minimal_zero_sum_max_length(k: int) -> int:
     """Maximum length L of a minimal zero-sum sequence over [-k, k], by exhaustive walks.
 
     Minimal means nonempty and zero-sum with no proper nonempty zero-sum
-    subsequence.  {0} is the only one of length 1; for n = 2 .. 2k + 1 the
-    walker at t = n // 2, avoiding every shorter length, emits exactly those
-    of length n.  That range holds them all with one length of margin: one
-    other than {0} is zero-free, and ordered so that each element opposes
-    the partial sum before it, its proper prefix sums are nonzero in
-    [-k, k], so by pigeonhole it has length <= 2k.  L = max(2, 2k - 1) by
-    the bound for primitive partition identities (Lambert 1987; Diaconis,
-    Graham and Sturmfels 1993), the window of
-    :func:`~zsseq.search.longest_avoiding`; a walk that disagrees raises
-    :class:`CrossCheckError`.  The walks grow about threefold per k.
+    subsequence.  At n >= 2 the walker at t = n // 2, avoiding every shorter
+    length, emits exactly those of length n.  None is longer than 2k: one
+    other than {0} is zero-free, and ordered so that each element opposes the
+    partial sum before it, its proper prefix sums are nonzero in [-k, k].  So
+    the walks run down from 2k + 1, one length of margin, and stop at the
+    first length with a leaf (n = 2k + 1, 2k, 2k - 1 at k >= 2).  L is
+    max(2, 2k - 1) by the bound for primitive partition identities (Lambert
+    1987; Diaconis, Graham and Sturmfels 1993), the window of
+    :func:`~zsseq.search.longest_avoiding`; walks that disagree or find no
+    leaf raise :class:`CrossCheckError`.  They grow about threefold per k.
     """
     _check_positive("k", k)
-    lengths = {1}  # the singleton {0}
-    for n in range(2, 2 * k + 2):
-        _walk_zero_sum(k, n, lambda s: lengths.add(s.length), t=n // 2, avoid_shorter=True)
-    if max(lengths) != max(2, 2 * k - 1):
-        raise CrossCheckError(
-            f"minimal zero-sum sequences over [-{k}, {k}] reach length {max(lengths)}, "
-            "not max(2, 2k - 1)"
-        )
-    return max(lengths)
+    found = []
+    for n in range(2 * k + 1, 1, -1):
+        _walk_zero_sum(k, n, found.append, t=n // 2, avoid_shorter=True)
+        if found:
+            break
+    if not found or n != max(2, 2 * k - 1):
+        got = n if found else "none"
+        raise CrossCheckError(f"the walks give L({k}) = {got}, not max(2, 2k - 1)")
+    return n

@@ -90,8 +90,8 @@ def longest_avoiding(
     ``max_witnesses`` of them, so a capped list is a prefix of the full one.
     ``max_nodes`` and ``time_limit`` bound the whole search, the time limit
     the kernel re-check too: past it, only the witnesses re-checked so far
-    are kept.  A negative cap or a time limit that is not finite is
-    refused.  ``exhaustive`` is True only if no cap was hit and the maximum
+    are kept.  A negative cap, a node or witness count that is not an
+    ``int``, or a time limit that is not finite is refused.  ``exhaustive`` is True only if no cap was hit and the maximum
     is below the ceiling.
 
     top is the ceiling, or c + L - 1 if lower, with c the constant
@@ -119,6 +119,8 @@ def longest_avoiding(
     for name, cap in caps.items():
         if cap is not None and not 0 <= cap < inf:  # false for NaN too
             raise PreconditionError(f"{name} must be a finite number >= 0, got {cap}")
+        if name != "time_limit" and not isinstance(cap, int | None):
+            raise PreconditionError(f"{name} must be an integer, got {cap}")
 
     best = -1
     witnesses: list[BoundedSequence] = []

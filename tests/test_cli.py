@@ -86,6 +86,20 @@ def test_missing_seq_file_is_a_domain_error(run, tmp_path):
     assert "error:" in err
 
 
+def test_seq_file_that_is_not_utf8_is_a_domain_error(run, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xff\xfe1^2,-1^2")
+    code, out, err = run("check", "--seq-file", str(path), "--t", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read sequence file: 'utf-8' codec can't decode")
+    code, out, err = run("check", "--seq-file", str(path), "--t", "2", "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "error"
+    assert doc["payload"]["error"].startswith("cannot read sequence file: 'utf-8' codec")
+    assert err.startswith("error: cannot read sequence file:")
+
+
 def test_bound_enforcement_fails_cleanly(run):
     code, _, err = run("check", "--seq", "5^1,-5^1", "--k", "2", "--t", "2")
     assert code == 1

@@ -251,6 +251,49 @@ def test_minimal_zero_sum_max_length_raises_when_the_walks_disagree(monkeypatch)
         minimal_zero_sum_max_length(3)
 
 
+def recording_walks(monkeypatch, walk):
+    """Replace the walker with ``walk`` and return the list of lengths it is called at."""
+    walked = []
+
+    def record(k, n, on_leaf, **kwargs):
+        walked.append(n)
+        return walk(k, n, on_leaf, **kwargs)
+
+    monkeypatch.setattr(constants, "_walk_zero_sum", record)
+    return walked
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_minimal_zero_sum_max_length_walks_down_to_the_first_leaf(monkeypatch, k):
+    walked = recording_walks(monkeypatch, constants._walk_zero_sum)
+    assert minimal_zero_sum_max_length(k) == max(2, 2 * k - 1)
+    assert walked == ([3, 2] if k == 1 else [2 * k + 1, 2 * k, 2 * k - 1])
+
+
+def test_minimal_zero_sum_max_length_raises_on_a_leaf_at_2k(monkeypatch):
+    # A minimal zero-sum multiset of length 2k contradicts the theorem.
+    real = constants._walk_zero_sum
+
+    def long(k, n, on_leaf, **kwargs):
+        if n == 2 * k:
+            on_leaf(None)
+            return 1
+        return real(k, n, on_leaf, **kwargs)
+
+    walked = recording_walks(monkeypatch, long)
+    with pytest.raises(CrossCheckError, match="L\\(3\\) = 6, not max"):
+        minimal_zero_sum_max_length(3)
+    assert walked == [7, 6]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_minimal_zero_sum_max_length_raises_when_no_walk_emits(monkeypatch, k):
+    walked = recording_walks(monkeypatch, lambda k, n, on_leaf, **kwargs: 0)
+    with pytest.raises(CrossCheckError, match="none, not max"):
+        minimal_zero_sum_max_length(k)
+    assert walked == list(range(2 * k + 1, 1, -1))
+
+
 def test_minimal_zero_sum_max_length_refuses_k_below_1():
     with pytest.raises(PreconditionError):
         minimal_zero_sum_max_length(0)

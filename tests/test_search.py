@@ -89,6 +89,7 @@ def test_longest_avoiding_preconditions(k, t, ceiling):
 
 OUT_OF_DOMAIN_CAPS = [
     {"max_nodes": -3},
+    {"max_nodes": 2.5},
     {"time_limit": -3.0},
     {"time_limit": float("nan")},
     {"time_limit": float("inf")},
@@ -99,7 +100,7 @@ def cap_id(caps):
     return ",".join(f"{name}={value}" for name, value in caps.items())
 
 
-@pytest.mark.parametrize("caps", [*OUT_OF_DOMAIN_CAPS, {"max_witnesses": -1}], ids=cap_id)
+@pytest.mark.parametrize("caps", [*OUT_OF_DOMAIN_CAPS, {"max_witnesses": -1}, {"max_witnesses": 2.5}], ids=cap_id)
 def test_longest_avoiding_rejects_out_of_domain_caps(caps):
     (name,) = caps
     with pytest.raises(PreconditionError, match=name):
